@@ -18,11 +18,15 @@ import (
 )
 
 // This file is the benchmark-regression tooling behind msbench -json:
-// it measures the E5 (chain) and E5c (spider) hot-path families and the
-// SVC service-layer families with a noise-robust min-of-reps harness,
-// dumps them as a JSON baseline (BENCH_seed.json at the repo root holds
-// the seed-era numbers, taken with the reference spider solver), and
-// compares a fresh measurement against a stored baseline. Comparisons
+// it measures the E5 (chain) and E5c (spider) hot-path families, the
+// wide, probe-loop and cold-construction spider families and the SVC
+// service-layer families with a noise-robust min-of-reps harness, dumps
+// them as a JSON baseline, and compares a fresh measurement against a
+// stored baseline. BENCH_seed.json at the repo root is the frozen bar:
+// numbers taken with the solver paths each optimisation replaced (the
+// unmemoized reference spider solver, the slice packer, from-scratch
+// probing, per-leg construction and a cold service per tree query),
+// all since retired from the program. Comparisons
 // scale by a calibration workload measured in both runs, so a baseline
 // recorded on one machine still yields meaningful ratios on another.
 
@@ -46,7 +50,7 @@ type BenchPoint struct {
 // BenchBaseline is a dump of the regression families plus a calibration
 // measurement taken in the same run.
 type BenchBaseline struct {
-	// Note records how the dump was taken (e.g. seed reference solver).
+	// Note records how the dump was taken.
 	Note string `json:"note"`
 	// CalibrationNs is the fixed calibration workload's time in this
 	// run; comparing two baselines scales by the calibration ratio to
@@ -74,12 +78,24 @@ func chainPhases(ch platform.Chain, n int) (map[string]int64, error) {
 	return tr.Snapshot().Map(), nil
 }
 
+// coldSolve is one cold min-makespan solve on a fresh solver — plan
+// construction, deadline search and schedule extraction — returning
+// the solve's packing probes.
+func coldSolve(sp platform.Spider, n int) (int64, error) {
+	s, err := spider.NewSolver(sp)
+	if err != nil {
+		return 0, err
+	}
+	_, _, err = s.MinMakespan(n)
+	return int64(s.Stats().PackProbes), err
+}
+
 // solvePhases runs one extra cold min-makespan solve of a cell with a
 // trace attached and returns its phase breakdown. It runs outside the
 // timed reps: the dump's ns_per_op stays a measurement of the untraced
 // path, and the breakdown is representative context next to it.
-func solvePhases(mk func() (*spider.Solver, error), n int) (map[string]int64, error) {
-	s, err := mk()
+func solvePhases(sp platform.Spider, n int) (map[string]int64, error) {
+	s, err := spider.NewSolver(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -128,12 +144,12 @@ func calibrate() (int64, error) {
 // probeLoopLegs/probeLoopN are the E5p-loop cells: the warm probe loop
 // (a binary-search deadline walk against a warmed solver) at two widths,
 // keyed by leg count — the workload the probe-persistent packer and
-// tournament merge amortise, guarded against the from-scratch path the
-// -reference dump measures. coldLegs/coldN are the E6-cold cells: one
+// tournament merge amortise. coldLegs/coldN are the E6-cold cells: one
 // cold min-makespan solve including plan construction, on the E6c
 // experiment's duplicate-heavy and all-distinct platforms, keyed by leg
-// count — the workload isomorphic-leg dedup collapses, guarded against
-// the dedup-off per-leg construction path the -reference dump measures.
+// count — the workload isomorphic-leg dedup collapses. (The E5w and E5p
+// experiments these family names come from are retired; the names stay
+// so the cells keep matching BENCH_seed.json.)
 var (
 	chainSizes    = []int{512, 2048}
 	spiderSizes   = []int{32, 128, 512}
@@ -147,18 +163,44 @@ var (
 	coldN         = 512
 )
 
-// MeasureBenchBaseline measures the E5/E5c families. With reference
-// true the spider family runs the unmemoized reference solver — used to
-// freeze the seed-era baseline the regression test guards against.
-func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
+// wideSpider draws the wide-platform family: spiders with hundreds of
+// short legs under strong heterogeneity (Bimodal, values 1..30), the
+// regime where the lower-bound seeding is loose enough that the
+// deadline binary search actually probes, and each probe's candidate
+// stream is wide enough that the admit-one-candidate inner loop
+// dominates.
+func wideSpider(legs int) platform.Spider {
+	g := platform.MustGenerator(2025, 1, 30, platform.Bimodal)
+	return g.Spider(legs, 3)
+}
+
+// probeWalk is the warm probe-loop workload: the deadline sequence of a
+// binary search bracketing the optimum, replayed against a warmed
+// solver. It isolates exactly the per-probe cost the persistent packer
+// amortises — the leg plans are grown, only the merge+packing runs.
+func probeWalk(opt platform.Time) []platform.Time {
+	var walk []platform.Time
+	lo, hi := max(opt-40, 1), opt+40
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		walk = append(walk, mid)
+		if mid >= opt {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return walk
+}
+
+// MeasureBenchBaseline measures every regression family with the
+// production solver and service.
+func MeasureBenchBaseline() (*BenchBaseline, error) {
 	calBefore, err := calibrate()
 	if err != nil {
 		return nil, err
 	}
 	b := &BenchBaseline{Note: "fast solver (probe-persistent packer + tournament merge + leg dedup)", CalibrationNs: calBefore}
-	if reference {
-		b.Note = "reference solvers (E5c via spider.ReferenceMinMakespan; E5w-wide via the slice-based packer; E5p-loop via from-scratch probing; E6-cold via dedup-off per-leg construction)"
-	}
 
 	g := platform.MustGenerator(2024, 1, 9, platform.Uniform)
 	ch := g.Chain(16)
@@ -177,68 +219,37 @@ func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
 		b.Points = append(b.Points, BenchPoint{Family: "E5-chain", Size: n, NsPerOp: d.Nanoseconds(), PhaseNs: phases})
 	}
 
+	// E5c-spider: min-makespan on a narrow spider, and E5w-wide: the
+	// same on a spider with hundreds of legs.
 	sp := g.Spider(4, 3)
-	for _, n := range spiderSizes {
-		var probes int64
-		solve := func() error {
-			s, err := spider.NewSolver(sp)
+	wide := wideSpider(wideLegs)
+	for _, cell := range []struct {
+		family string
+		sp     platform.Spider
+		sizes  []int
+	}{
+		{"E5c-spider", sp, spiderSizes},
+		{"E5w-wide", wide, wideSizes},
+	} {
+		for _, n := range cell.sizes {
+			var probes int64
+			d, err := minTime(benchReps, func() (err error) {
+				probes, err = coldSolve(cell.sp, n)
+				return err
+			})
 			if err != nil {
-				return err
-			}
-			_, _, err = s.MinMakespan(n)
-			probes = int64(s.Stats().PackProbes)
-			return err
-		}
-		if reference {
-			solve = func() error {
-				_, _, err := spider.ReferenceMinMakespan(sp, n)
-				return err
-			}
-		}
-		d, err := minTime(benchReps, solve)
-		if err != nil {
-			return nil, err
-		}
-		pt := BenchPoint{Family: "E5c-spider", Size: n, NsPerOp: d.Nanoseconds(), ProbesPerSolve: probes}
-		if !reference {
-			// The reference solver has no trace hooks; the fast cell's
-			// breakdown comes from one extra traced solve.
-			if pt.PhaseNs, err = solvePhases(func() (*spider.Solver, error) { return spider.NewSolver(sp) }, n); err != nil {
 				return nil, err
 			}
-		}
-		b.Points = append(b.Points, pt)
-	}
-	// E5w-wide: the wide-platform family of the E5w experiment. In
-	// reference mode the probes run the legacy slice-based packer — the
-	// pre-tree-packer implementation — freezing the comparison point the
-	// streaming tree packer is guarded against.
-	wide := wideSpider(wideLegs)
-	for _, n := range wideSizes {
-		var probes int64
-		d, err := minTime(benchReps, func() error {
-			s, err := newWideSolver(wide, reference)
-			if err != nil {
-				return err
+			pt := BenchPoint{Family: cell.family, Size: n, NsPerOp: d.Nanoseconds(), ProbesPerSolve: probes}
+			if pt.PhaseNs, err = solvePhases(cell.sp, n); err != nil {
+				return nil, err
 			}
-			_, _, err = s.MinMakespan(n)
-			probes = int64(s.Stats().PackProbes)
-			return err
-		})
-		if err != nil {
-			return nil, err
+			b.Points = append(b.Points, pt)
 		}
-		pt := BenchPoint{Family: "E5w-wide", Size: n, NsPerOp: d.Nanoseconds(), ProbesPerSolve: probes}
-		if pt.PhaseNs, err = solvePhases(func() (*spider.Solver, error) { return newWideSolver(wide, reference) }, n); err != nil {
-			return nil, err
-		}
-		b.Points = append(b.Points, pt)
 	}
-	// E5p-loop: the warm probe loop. In reference mode the probes run
-	// from scratch — the pre-persistence implementation — freezing the
-	// comparison point the probe-persistent packer is guarded against.
+	// E5p-loop: the warm probe loop.
 	for _, legs := range probeLoopLegs {
-		s, err := newProbeSolver(wideSpider(legs), reference)
+		s, err := spider.NewSolver(wideSpider(legs))
 		if err != nil {
 			return nil, err
 		}
@@ -278,10 +289,6 @@ func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
 	}
 	// E6-cold: cold construction — one min-makespan solve on a fresh
 	// solver, plan construction included, at the E6c experiment's cells.
-	// In reference mode the solver runs with leg dedup off — the per-leg
-	// construction path — freezing the comparison point isomorphic-leg
-	// dedup is guarded against. (The flat hull kernel is in both modes;
-	// its own regression shows up in every construction-bearing family.)
 	for _, cell := range []struct {
 		family string
 		build  func(int) platform.Spider
@@ -292,18 +299,14 @@ func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
 		for _, legs := range coldLegs {
 			csp := cell.build(legs)
 			d, err := minTime(benchReps, func() error {
-				s, err := newColdSolver(csp, !reference)
-				if err != nil {
-					return err
-				}
-				_, _, err = s.MinMakespan(coldN)
+				_, err := coldSolve(csp, coldN)
 				return err
 			})
 			if err != nil {
 				return nil, err
 			}
 			pt := BenchPoint{Family: cell.family, Size: legs, NsPerOp: d.Nanoseconds()}
-			if pt.PhaseNs, err = solvePhases(func() (*spider.Solver, error) { return newColdSolver(csp, !reference) }, coldN); err != nil {
+			if pt.PhaseNs, err = solvePhases(csp, coldN); err != nil {
 				return nil, err
 			}
 			b.Points = append(b.Points, pt)
@@ -312,7 +315,7 @@ func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
 	// SVC-tree draws its platform from a dedicated generator so the
 	// existing cells' instances stay byte-identical to earlier dumps.
 	tg := platform.MustGenerator(77, 1, 9, platform.Uniform)
-	if err := measureServiceFamilies(b, sp, tg.Tree(3, 3), reference); err != nil {
+	if err := measureServiceFamilies(b, sp, tg.Tree(3, 3)); err != nil {
 		return nil, err
 	}
 	// Calibrate again after the families: if the machine picked up load
@@ -342,11 +345,7 @@ func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
 //     DISTINCT deadline, so each is a memo miss that runs the warm
 //     solver (the O(1) scalar-memo path is SVC-warm's job), without
 //     the schedule-encode noise a schedule-bearing query would add.
-//     In reference mode every query hits a FRESH service — the cold,
-//     construction-per-query cost a world without warmed tree solvers
-//     would pay (servers are built outside the timed region) —
-//     freezing the bar the warm path is guarded against.
-func measureServiceFamilies(b *BenchBaseline, sp platform.Spider, tr platform.Tree, reference bool) error {
+func measureServiceFamilies(b *BenchBaseline, sp platform.Spider, tr platform.Tree) error {
 	svc := service.New(service.Config{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -371,38 +370,19 @@ func measureServiceFamilies(b *BenchBaseline, sp platform.Spider, tr platform.Tr
 
 	for _, n := range svcSizes {
 		// The deadline walk descends from the optimum, one distinct
-		// value per rep, in both modes — the same solver work whether
-		// the baseline was frozen on this machine or another.
+		// value per rep — the same solver work the frozen baseline's
+		// cold-service queries did.
 		opt, err := cl.MinMakespanTree(ctx, tr, n, false)
 		if err != nil {
 			return err
 		}
-		deadline := func(rep int) platform.Time {
-			return max(opt.Makespan-platform.Time(rep), 1)
-		}
 		rep := 0
-		query := func() error {
-			dl := deadline(rep)
+		d, err := minTime(benchReps, func() error {
+			dl := max(opt.Makespan-platform.Time(rep), 1)
 			rep++
 			_, err := cl.MaxTasksTree(ctx, tr, n, dl)
 			return err
-		}
-		if reference {
-			colds := make([]*client.Client, benchReps)
-			for i := range colds {
-				cts := httptest.NewServer(service.New(service.Config{}).Handler())
-				defer cts.Close()
-				colds[i] = client.New(cts.URL, cts.Client())
-			}
-			query = func() error {
-				cold := colds[rep]
-				dl := deadline(rep)
-				rep++
-				_, err := cold.MaxTasksTree(ctx, tr, n, dl)
-				return err
-			}
-		}
-		d, err := minTime(benchReps, query)
+		})
 		if err != nil {
 			return err
 		}

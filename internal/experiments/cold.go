@@ -12,7 +12,7 @@ func init() {
 	register(Experiment{
 		ID:    "E6c",
 		Name:  "cold-construction",
-		Paper: "§3/§7 cold-path construction: leg dedup + flat hull kernel vs per-leg plans",
+		Paper: "§3/§7 cold-path construction: leg dedup + flat hull kernel, cold vs warm",
 		Run:   runColdConstruction,
 	})
 }
@@ -47,59 +47,37 @@ func distinctSpider(legs int) platform.Spider {
 	return platform.NewSpider(ls...)
 }
 
-// timeColdSolve measures one cold MinMakespan — construction included,
-// which is the point — on a fresh solver with or without leg dedup.
-func timeColdSolve(sp platform.Spider, n int, dedup bool) (time.Duration, platform.Time, error) {
-	const reps = 3
+// timeColdSolve measures one cold MinMakespan — plan construction
+// included, which is the point — on a fresh solver, min-of-reps.
+func timeColdSolve(sp platform.Spider, n int) (time.Duration, error) {
 	best := time.Duration(1<<63 - 1)
-	var mk platform.Time
-	for r := 0; r < reps; r++ {
-		s, err := newColdSolver(sp, dedup)
+	for r := 0; r < 3; r++ {
+		s, err := spider.NewSolver(sp)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		start := time.Now()
-		m, _, err := s.MinMakespan(n)
-		if err != nil {
-			return 0, 0, err
+		if _, _, err := s.MinMakespan(n); err != nil {
+			return 0, err
 		}
-		if d := time.Since(start); d < best {
-			best = d
-		}
-		mk = m
+		best = min(best, time.Since(start))
 	}
-	return best, mk, nil
+	return best, nil
 }
 
-func newColdSolver(sp platform.Spider, dedup bool) (*spider.Solver, error) {
-	s, err := spider.NewSolver(sp)
-	if err != nil {
-		return nil, err
-	}
-	s.SetLegDedup(dedup)
-	return s, nil
-}
-
-// runColdConstruction is the E6 ablation: cold min-makespan solves with
-// and without isomorphic-leg dedup, on duplicate-heavy and all-distinct
-// platforms, with schedule identity required; plus the warm per-probe
-// cost of the same solver as the yardstick the ROADMAP's cold-path goal
-// is stated against. Hard asserts pin the tentpole claims: dedup finds
-// exactly the distinct shapes, wins at least 1.8x on the widest
-// duplicate-heavy cell, and the cold 1024-leg duplicate-heavy solve
-// lands within 2x of its own warm probe loop's total search cost.
-//
-// Note the ablation understates the PR's end-to-end win: the no-dedup
-// baseline here already runs the flat hull kernel, so the speedup
-// column isolates dedup alone. Against the pre-flat-kernel per-leg
-// cold path the combined effect on this cell measures ~3x (see the
-// README's cold-path table).
+// runColdConstruction is the E6 cold-path experiment: cold min-makespan
+// solves, plan construction included, on duplicate-heavy and
+// all-distinct platforms, next to the warm search cost of the same
+// solver as the yardstick the ROADMAP's cold-path goal is stated
+// against. Hard asserts pin the claims: isomorphic-leg dedup finds
+// exactly the distinct shapes, and the cold 1024-leg duplicate-heavy
+// solve lands within 2x of its own warm probe loop's total search cost.
 func runColdConstruction() (*Report, error) {
 	tbl := Table{
-		Title: "E6c: cold-path construction — leg dedup + flat kernel vs per-leg plans",
-		Note: "cold min-makespan incl. plan construction (Bimodal 1..30, n=512); identical\n" +
-			"schedules required, so the speedup is pure construction mechanics",
-		Header: []string{"regime", "legs", "n", "distinct", "dedup", "no-dedup", "speedup", "warm walk"},
+		Title: "E6c: cold-path construction — cold solve vs warm search",
+		Note: "cold min-makespan incl. plan construction (Bimodal 1..30, n=512) against\n" +
+			"the same solver's warm binary-search deadline walk",
+		Header: []string{"regime", "legs", "n", "distinct", "cold", "warm walk", "cold/warm"},
 	}
 	const n = 512
 	for _, regime := range []struct {
@@ -111,104 +89,56 @@ func runColdConstruction() (*Report, error) {
 	} {
 		for _, legs := range []int{256, 1024} {
 			sp := regime.build(legs)
-			probe, err := spider.NewSolver(sp)
+			s, err := spider.NewSolver(sp)
 			if err != nil {
 				return nil, err
 			}
-			distinct := probe.DistinctLegPlans()
-			switch regime.name {
-			case "dup-heavy":
-				if distinct != 2 {
-					return nil, fmt.Errorf("E6c: %s legs=%d: solver owns %d plans, want 2", regime.name, legs, distinct)
-				}
-			case "distinct":
-				if distinct != legs {
-					return nil, fmt.Errorf("E6c: %s legs=%d: solver owns %d plans, want %d", regime.name, legs, distinct, legs)
-				}
+			distinct := s.DistinctLegPlans()
+			want := legs
+			if regime.name == "dup-heavy" {
+				want = 2
 			}
-
-			dDedup, mkA, err := timeColdSolve(sp, n, true)
+			if distinct != want {
+				return nil, fmt.Errorf("E6c: %s legs=%d: solver owns %d plans, want %d", regime.name, legs, distinct, want)
+			}
+			cold, err := timeColdSolve(sp, n)
 			if err != nil {
 				return nil, err
 			}
-			dPlain, mkB, err := timeColdSolve(sp, n, false)
-			if err != nil {
-				return nil, err
-			}
-			if mkA != mkB {
-				return nil, fmt.Errorf("E6c: %s legs=%d: dedup makespan %d, independent plans %d", regime.name, legs, mkA, mkB)
-			}
-			// Schedule identity, not just makespan equality: the dedup'd
-			// plans must feed the packing the identical candidate stream.
-			sA, err := newColdSolver(sp, true)
-			if err != nil {
-				return nil, err
-			}
-			sB, err := newColdSolver(sp, false)
-			if err != nil {
-				return nil, err
-			}
-			schedA, err := sA.ScheduleWithin(n, mkA)
-			if err != nil {
-				return nil, err
-			}
-			schedB, err := sB.ScheduleWithin(n, mkA)
-			if err != nil {
-				return nil, err
-			}
-			if !schedA.Equal(schedB) {
-				return nil, fmt.Errorf("E6c: %s legs=%d: dedup schedules diverge", regime.name, legs)
-			}
-
 			// The warm yardstick: total cost of the same deadline walk on
 			// an already-warm solver (plans grown, decision log recorded).
-			warm, err := timeWarmWalk(sp, n, mkA)
+			warm, err := timeWarmWalk(s, n)
 			if err != nil {
 				return nil, err
 			}
-
-			speedup := float64(dPlain) / float64(dDedup)
-			if regime.name == "dup-heavy" && legs == 1024 {
-				if speedup < 1.8 {
-					return nil, fmt.Errorf("E6c: dup-heavy legs=1024: dedup speedup %.2fx, want ≥ 1.8x over the per-leg cold path", speedup)
-				}
-				if float64(dDedup) > 2*float64(warm) {
-					return nil, fmt.Errorf("E6c: dup-heavy legs=1024: cold solve %v exceeds 2x the warm walk %v", dDedup, warm)
-				}
+			ratio := float64(cold) / float64(warm)
+			if regime.name == "dup-heavy" && legs == 1024 && ratio > 2 {
+				return nil, fmt.Errorf("E6c: dup-heavy legs=1024: cold solve %v exceeds 2x the warm walk %v", cold, warm)
 			}
 			tbl.AddRow(regime.name, legs, n, distinct,
-				dDedup.Round(time.Microsecond), dPlain.Round(time.Microsecond),
-				fmt.Sprintf("%.2fx", speedup), warm.Round(time.Microsecond))
+				cold.Round(time.Microsecond), warm.Round(time.Microsecond), fmt.Sprintf("%.2fx", ratio))
 		}
 	}
 	return &Report{Tables: []Table{tbl}}, nil
 }
 
-// timeWarmWalk measures the total cost of a binary-search deadline walk
-// bracketing the optimum on a warmed solver — the whole warm search,
-// not per probe: the quantity the ROADMAP's "cold within 2x of warm"
-// goal compares the cold solve against.
-func timeWarmWalk(sp platform.Spider, n int, opt platform.Time) (time.Duration, error) {
-	const reps = 3
-	s, err := spider.NewSolver(sp)
+// timeWarmWalk warms the fresh solver with one min-makespan solve and
+// measures the total cost of a binary-search deadline walk bracketing
+// the optimum — the whole warm search, not per probe: the quantity the
+// ROADMAP's "cold within 2x of warm" goal compares the cold solve
+// against.
+func timeWarmWalk(s *spider.Solver, n int) (time.Duration, error) {
+	opt, _, err := s.MinMakespan(n)
 	if err != nil {
 		return 0, err
 	}
-	if _, _, err := s.MinMakespan(n); err != nil {
-		return 0, err
-	}
 	walk := probeWalk(opt)
-	best := time.Duration(1<<63 - 1)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
+	return minTime(3, func() error {
 		for _, d := range walk {
 			if _, err := s.MaxTasks(n, d); err != nil {
-				return 0, err
+				return err
 			}
 		}
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best, nil
+		return nil
+	})
 }

@@ -1,8 +1,8 @@
 // Package experiments is the reproduction harness: every figure and
 // every provable claim of the paper is regenerated by a registered
 // experiment that produces human-readable tables (and, where
-// appropriate, Gantt charts). The experiment IDs follow the index in
-// DESIGN.md §5; EXPERIMENTS.md records their reference output.
+// appropriate, Gantt charts). `msbench -list` prints the experiment
+// index; `msbench -run ID` regenerates one experiment's tables.
 package experiments
 
 import (
@@ -115,7 +115,7 @@ func (r *Report) Format() string {
 
 // Experiment reproduces one paper artefact.
 type Experiment struct {
-	ID    string // index in DESIGN.md §5, e.g. "E1"
+	ID    string // index in the msbench -list registry, e.g. "E1"
 	Name  string
 	Paper string // the artefact reproduced, e.g. "Fig. 2"
 	Run   func() (*Report, error)

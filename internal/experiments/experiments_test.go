@@ -44,7 +44,7 @@ func TestTableCSVQuoting(t *testing.T) {
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
-	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E5p", "E5w", "E6c"}
+	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E6c"}
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(all), len(want))
 	}

@@ -59,22 +59,30 @@ func (a *Allocation) Len() int { return len(a.Slaves) }
 // conditions — the candidate's own prefix constraint and the minimum
 // slack over the displaced suffix — during one root-to-leaf descent,
 // and admission is a treap insertion. PackSorted keeps the slice-based
-// implementation (O(n) state rebuild per acceptance) as the reference
-// the equivalence tests compare against.
+// implementation (O(n) state rebuild per acceptance) as the independent
+// reference the equivalence tests compare against.
 func Pack(vs []platform.VirtualSlave, n int, deadline platform.Time) (*Allocation, error) {
+	p, err := NewPacker(n, deadline)
+	if err != nil {
+		return nil, err
+	}
 	order := append([]platform.VirtualSlave(nil), vs...)
 	platform.SortVirtualSlaves(order)
-	return PackTree(order, n, deadline)
+	for _, cand := range order {
+		if p.Full() {
+			break
+		}
+		p.Offer(cand)
+	}
+	return p.Allocation(), nil
 }
 
 // PackSorted is Pack for candidates already in admission order
 // (ascending CompareVirtualSlaves), in its original slice-based form:
 // each acceptance rebuilds the elapsed/minSlack state in O(n). It is
-// kept as the mid-rung of the equivalence ladder — packFeasible is the
-// O(n²) spec, PackSorted the incremental slice packer, Packer/PackTree
-// the O(log n) tree packer riding the hot path — and as the ablation
-// comparator the E5w experiment measures the tree packer against. The
-// input slice is not modified.
+// the packing oracle: spider's reference path packs with it, and the
+// tests hold Packer and ProbePacker to it and to the O(n²)
+// packFeasible greedy. The input slice is not modified.
 func PackSorted(order []platform.VirtualSlave, n int, deadline platform.Time) (*Allocation, error) {
 	if deadline < 0 {
 		return nil, fmt.Errorf("fork: negative deadline %d", deadline)

@@ -70,9 +70,10 @@ func decodeFuzzWalk(data []byte) ([]probeLeg, []walkStep) {
 }
 
 // FuzzPackerEquivalence drives random candidate streams and deadline
-// walks through the probe-persistent packer and the whole from-scratch
-// ladder (spec greedy, slice packer, tree packer), requiring identical
-// admitted sets and emission starts at every probe. The seeds mirror
+// walks through the probe-persistent packer and the from-scratch tree
+// packer (Pack), holding both to the oracles (spec greedy, slice
+// packer) with identical admitted sets and emission starts at every
+// probe. The seeds mirror
 // the property-test families: a recorded binary search, a zig-zag walk
 // with a budget change, ties across legs, and degenerate tiny inputs.
 func FuzzPackerEquivalence(f *testing.F) {

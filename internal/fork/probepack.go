@@ -36,10 +36,10 @@ import (
 // the same decisions for a shrunken n and extends past them for a grown
 // one (see Rewind).
 //
-// The equivalence ladder (packFeasible spec → PackSorted → Packer →
-// ProbePacker) is extended by property and fuzz tests asserting the
-// persistent packer admits the identical set with identical emission
-// starts at every probe of recorded deadline walks.
+// Property and fuzz tests hold the persistent packer to the oracles —
+// the packFeasible spec greedy and PackSorted — at every probe of
+// recorded deadline walks: it must admit the identical set with
+// identical emission starts, as Packer must.
 type ProbePacker struct {
 	pk    Packer
 	log   []probeEntry

@@ -47,10 +47,10 @@ type walkStep struct {
 }
 
 // driveWalk replays the walk through the probe-persistent packer,
-// asserting after every probe that it admits the identical set with
-// identical emission starts as the whole from-scratch ladder — the
-// packFeasible spec greedy, the slice packer and the tree packer — run
-// on the full stream of that deadline.
+// asserting after every probe that it — and the from-scratch tree
+// packer behind Pack — admits the identical set with identical emission
+// starts as the oracles, the packFeasible spec greedy and the slice
+// packer PackSorted, run on the full stream of that deadline.
 func driveWalk(t *testing.T, legs []probeLeg, walk []walkStep) {
 	t.Helper()
 	pp := NewProbePacker()
@@ -113,12 +113,12 @@ func driveWalk(t *testing.T, legs []probeLeg, walk []walkStep) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := PackTree(stream, ws.n, ws.deadline)
+		tree, err := Pack(stream, ws.n, ws.deadline)
 		if err != nil {
 			t.Fatal(err)
 		}
 		allocsIdentical(t, label+": PackSorted vs spec", slice, spec)
-		allocsIdentical(t, label+": PackTree vs spec", tree, spec)
+		allocsIdentical(t, label+": Pack vs spec", tree, spec)
 		allocsIdentical(t, label+": ProbePacker vs spec", pp.Allocation(), spec)
 	}
 }

@@ -351,20 +351,3 @@ func (p *Packer) Allocation() *Allocation {
 	}
 	return alloc
 }
-
-// PackTree is PackSorted on the balanced-tree packer: candidates already
-// in admission order stream through Offer, stopping once n tasks are
-// admitted. The input slice is not modified.
-func PackTree(order []platform.VirtualSlave, n int, deadline platform.Time) (*Allocation, error) {
-	p, err := NewPacker(n, deadline)
-	if err != nil {
-		return nil, err
-	}
-	for _, cand := range order {
-		if p.Full() {
-			break
-		}
-		p.Offer(cand)
-	}
-	return p.Allocation(), nil
-}

@@ -79,8 +79,9 @@ func randomCandidates(r *rand.Rand) []platform.VirtualSlave {
 }
 
 // TestTreePackerMatchesSliceAndSpec packs random candidate streams
-// through the balanced-tree packer, the slice-based PackSorted and the
-// packFeasible specification greedy, asserting all three admit the
+// through the balanced-tree packer (Pack, and the streaming Offer API
+// directly) and the two oracles — the slice-based PackSorted and the
+// packFeasible specification greedy — asserting all admit the
 // identical multiset in the identical emission order with identical
 // emission starts.
 func TestTreePackerMatchesSliceAndSpec(t *testing.T) {
@@ -99,12 +100,12 @@ func TestTreePackerMatchesSliceAndSpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := PackTree(vs, n, deadline)
+		tree, err := Pack(vs, n, deadline)
 		if err != nil {
 			t.Fatal(err)
 		}
 		allocsIdentical(t, "PackSorted vs spec", slice, spec)
-		allocsIdentical(t, "PackTree vs spec", tree, spec)
+		allocsIdentical(t, "Pack vs spec", tree, spec)
 
 		// The streaming Offer API must agree with the batch entry and
 		// report each admission decision consistently.
@@ -142,7 +143,7 @@ func TestTreePackerEqualProcTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := PackTree(vs, 4, 30)
+	tree, err := Pack(vs, 4, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestTreePackerLargeStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := PackTree(vs, 128, deadline)
+		tree, err := Pack(vs, 128, deadline)
 		if err != nil {
 			t.Fatal(err)
 		}

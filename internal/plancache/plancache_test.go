@@ -12,7 +12,7 @@ import (
 	"repro/internal/sched"
 )
 
-func planFor(t *testing.T, ch platform.Chain, n int) (string, []sched.ChainTask) {
+func planFor(t testing.TB, ch platform.Chain, n int) (string, []sched.ChainTask) {
 	t.Helper()
 	inc, err := core.NewIncremental(ch)
 	if err != nil {

@@ -20,11 +20,12 @@ func dupSpider(copies int, legs ...platform.Chain) platform.Spider {
 	return platform.NewSpider(all...)
 }
 
-// TestLegDedupScheduleIdentical is the dedup half of the equivalence
-// ladder: across random spiders (including fork-shaped depth-1 ones)
-// the dedup'd solver must produce schedules identical — not merely
-// equal makespans — to a solver with one independent plan per leg,
-// under full min-makespan solves and warm deadline/budget sweeps.
+// TestLegDedupScheduleIdentical is the dedup half of the reference
+// equivalence: across random spiders (including fork-shaped depth-1
+// ones) the dedup'd solver must produce schedules identical — not
+// merely equal makespans — to the reference path, which builds one
+// independent plan per leg, under full min-makespan solves and warm
+// deadline/budget sweeps.
 func TestLegDedupScheduleIdentical(t *testing.T) {
 	trials := 40
 	if testing.Short() {
@@ -42,57 +43,28 @@ func TestLegDedupScheduleIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				plain, err := NewSolver(sp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plain.SetLegDedup(false)
-				if got := plain.DistinctLegPlans(); got != sp.NumLegs() {
-					t.Fatalf("dedup off owns %d plans, want one per leg (%d)", got, sp.NumLegs())
-				}
 				if got := dedup.DistinctLegPlans(); got > sp.NumLegs() {
-					t.Fatalf("dedup on owns %d plans on %d legs", got, sp.NumLegs())
+					t.Fatalf("dedup owns %d plans on %d legs", got, sp.NumLegs())
 				}
 
 				mkA, schA, err := dedup.MinMakespan(n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				mkB, schB, err := plain.MinMakespan(n)
+				mkB, schB, err := ReferenceMinMakespan(sp, n)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if mkA != mkB {
-					t.Fatalf("dedup makespan %d, independent plans %d", mkA, mkB)
+					t.Fatalf("dedup makespan %d, reference %d", mkA, mkB)
 				}
 				if !schA.Equal(schB) {
-					t.Fatalf("schedules diverge:\ndedup: %vplain: %v", schA, schB)
+					t.Fatalf("schedules diverge:\ndedup: %vreference: %v", schA, schB)
 				}
 				// Warm sweeps over both probe coordinates.
 				for _, m := range []int{n, max(1, n/2), n + 2} {
 					for deadline := platform.Time(0); deadline <= mkA+4; deadline += max(1, mkA/4) {
-						a, err := dedup.MaxTasks(m, deadline)
-						if err != nil {
-							t.Fatal(err)
-						}
-						b, err := plain.MaxTasks(m, deadline)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if a != b {
-							t.Fatalf("m=%d deadline=%d: dedup admits %d, plain %d", m, deadline, a, b)
-						}
-						sa, err := dedup.ScheduleWithin(m, deadline)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sb, err := plain.ScheduleWithin(m, deadline)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !sa.Equal(sb) {
-							t.Fatalf("m=%d deadline=%d: deadline-limited schedules diverge", m, deadline)
-						}
+						sameDeadlineAnswers(t, dedup, sp, m, deadline)
 					}
 				}
 			})
@@ -102,8 +74,12 @@ func TestLegDedupScheduleIdentical(t *testing.T) {
 
 // TestLegDedupDuplicateRegimes pins the regimes the dedup exists for:
 // every leg identical, and 2 distinct shapes × 512 copies. The solver
-// must own exactly as many plans as there are distinct shapes, and the
-// schedules must match the independent-plans solver and verify feasible.
+// must own exactly as many plans as there are distinct shapes, and its
+// optimum must be the reference's: at the solver's makespan the
+// reference schedules all n tasks into the identical schedule, one
+// unit earlier it cannot fit n. (Together these pin the reference
+// search's answer without running its full binary search, which takes
+// seconds at this width.)
 func TestLegDedupDuplicateRegimes(t *testing.T) {
 	legA := platform.NewChain(2, 5, 3, 3)
 	legB := platform.NewChain(1, 4, 2, 2, 1, 6)
@@ -128,58 +104,28 @@ func TestLegDedupDuplicateRegimes(t *testing.T) {
 			if got := dedup.DistinctLegPlans(); got != tc.distinct {
 				t.Fatalf("solver owns %d plans, want %d", got, tc.distinct)
 			}
-			plain, err := NewSolver(tc.sp)
+			mk, sch, err := dedup.MinMakespan(tc.n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain.SetLegDedup(false)
-
-			mkA, schA, err := dedup.MinMakespan(tc.n)
+			ref, err := ReferenceScheduleWithin(tc.sp, tc.n, mk)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mkB, schB, err := plain.MinMakespan(tc.n)
+			if !sch.Equal(ref) {
+				t.Fatalf("duplicate-leg schedules diverge at makespan %d", mk)
+			}
+			below, err := ReferenceMaxTasks(tc.sp, tc.n, mk-1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mkA != mkB || !schA.Equal(schB) {
-				t.Fatalf("duplicate-leg schedules diverge: makespans %d vs %d", mkA, mkB)
+			if below >= tc.n {
+				t.Fatalf("reference fits %d tasks by %d, below the solver's optimum %d", below, mk-1, mk)
 			}
-			if err := schA.Verify(); err != nil {
+			if err := sch.Verify(); err != nil {
 				t.Fatalf("duplicate-leg schedule infeasible: %v", err)
 			}
 		})
-	}
-}
-
-// TestSetLegDedupToggleResets flips the knob on a warmed solver: the
-// rebuilt plans must answer identically to a fresh solver in either
-// mode, with no stale probe state surviving the flip.
-func TestSetLegDedupToggleResets(t *testing.T) {
-	g := platform.MustGenerator(77, 1, 5, platform.Bimodal)
-	sp := g.Spider(12, 2)
-	n := 30
-
-	s, err := NewSolver(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk0, sch0, err := s.MinMakespan(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetLegDedup(false)
-	mk1, sch1, err := s.MinMakespan(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetLegDedup(true)
-	mk2, sch2, err := s.MinMakespan(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mk0 != mk1 || mk0 != mk2 || !sch0.Equal(sch1) || !sch0.Equal(sch2) {
-		t.Fatalf("toggling dedup changed the answer: %d / %d / %d", mk0, mk1, mk2)
 	}
 }
 

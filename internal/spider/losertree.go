@@ -7,8 +7,8 @@ import (
 )
 
 // loserTree is the probe-persistent k-way merge: a tournament tree over
-// one cursor per leg whose state survives across deadline probes. The
-// heap merge (merge, cbuf) rebuilds k nodes and re-touches every leg at
+// one cursor per leg whose state survives across deadline probes. A
+// per-probe heap merge would rebuild k nodes and re-touch every leg at
 // every probe; the tournament instead keeps its cursors where the last
 // probe's merge stopped and, per probe, repositions only the cursors
 // whose resume point actually moved — the legs with candidates in the
@@ -22,13 +22,13 @@ import (
 // implicit: leaf b lives at slot span+b and reads cursor b. Exhausted
 // or absent cursors report -1 and lose every match.
 //
-// The emission order is identical to the heap merge's: ascending
-// platform.CompareVirtualSlaves, a total order (ties cannot reach the
+// The emission order is the reference path's sorted candidate order:
+// ascending platform.CompareVirtualSlaves, a total order (ties cannot reach the
 // Rank coordinate across distinct legs, and within a leg Proc strictly
 // ascends), so the winner of every match is unique. The persistent
 // cursors produce candidates with Rank equal to the backward index j —
-// deadline-independent, unlike the emission rank k−1−j the from-scratch
-// paths use — so the same logged candidate compares equal across
+// deadline-independent, unlike the emission rank k−1−j the reference
+// path uses — so the same logged candidate compares equal across
 // probes; probeAlloc translates Ranks back when materialising.
 type loserTree struct {
 	curs  []mergeLeaf
@@ -173,5 +173,3 @@ func (t *loserTree) next() (v platform.VirtualSlave, ok bool) {
 	t.replay(int(w))
 	return v, true
 }
-
-func (lf mergeLeaf) candidate() platform.VirtualSlave { return lf.cur }

@@ -22,29 +22,32 @@ func drainTree(t *loserTree, consumed, ks []int) []platform.VirtualSlave {
 	}
 }
 
-// drainHeap runs the legacy heap merge over the same fit counts.
-func drainHeap(s *Solver, ks []int) []platform.VirtualSlave {
-	var out []platform.VirtualSlave
-	s.merge(ks, func(v platform.VirtualSlave) bool {
-		out = append(out, v)
-		return true
-	})
-	return out
+// sortedCandidates is the merge oracle: every candidate of the
+// per-leg ranges [consumed, ks), Rank = backward index j as the
+// tournament emits them, sorted by platform.SortVirtualSlaves.
+func sortedCandidates(s *Solver, consumed, ks []int) []platform.VirtualSlave {
+	var want []platform.VirtualSlave
+	for b, lp := range s.legs {
+		for j := consumed[b]; j < ks[b]; j++ {
+			want = append(want, platform.VirtualSlave{
+				Comm: lp.c1, Proc: -lp.inc.Emission(j) - lp.c1, Leg: b, Rank: j,
+			})
+		}
+	}
+	platform.SortVirtualSlaves(want)
+	return want
 }
 
-// sameEmission compares a tournament emission (Rank = backward index j)
-// with a heap emission (Rank = emission rank k−1−j) candidate-for-
-// candidate under the rank translation.
-func sameEmission(t *testing.T, label string, tree, heap []platform.VirtualSlave, ks []int) {
+// sameEmission compares the tournament emission with the oracle's
+// candidate for candidate.
+func sameEmission(t *testing.T, label string, got, want []platform.VirtualSlave) {
 	t.Helper()
-	if len(tree) != len(heap) {
-		t.Fatalf("%s: tournament emitted %d candidates, heap %d", label, len(tree), len(heap))
+	if len(got) != len(want) {
+		t.Fatalf("%s: emitted %d candidates, want %d", label, len(got), len(want))
 	}
-	for i, tv := range tree {
-		hv := heap[i]
-		tv.Rank = ks[tv.Leg] - 1 - tv.Rank
-		if tv != hv {
-			t.Fatalf("%s: position %d: tournament %v, heap %v", label, i, tv, hv)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: position %d: got %v, want %v", label, i, got[i], want[i])
 		}
 	}
 }
@@ -53,9 +56,10 @@ func sameEmission(t *testing.T, label string, tree, heap []platform.VirtualSlave
 func treeForSolver(s *Solver) *loserTree { return newLoserTree(s.legs) }
 
 // TestLoserTreeMatchesHeapMerge compares the tournament merge's
-// emission order against the heap merge on the adversarial cursor
-// patterns: a single leg, exhausted legs (zero fit counts), equal legs
-// whose candidates tie on (Comm, Proc) and must break by origin, and a
+// emission order against the full candidate multiset sorted by
+// platform.SortVirtualSlaves, on the adversarial cursor patterns: a
+// single leg, exhausted legs (zero fit counts), equal legs whose
+// candidates tie on (Comm, Proc) and must break by origin, and a
 // 1024-leg platform.
 func TestLoserTreeMatchesHeapMerge(t *testing.T) {
 	cases := []struct {
@@ -80,13 +84,13 @@ func TestLoserTreeMatchesHeapMerge(t *testing.T) {
 			for _, deadline := range []platform.Time{0, 1, hi / 7, hi / 3, hi} {
 				s.prepare(tc.n, deadline)
 				ks, total := s.legCounts(tc.n, deadline)
-				heap := drainHeap(s, ks)
-				if len(heap) != total {
-					t.Fatalf("deadline %d: heap emitted %d of %d", deadline, len(heap), total)
-				}
 				zero := make([]int, len(ks))
+				want := sortedCandidates(s, zero, ks)
+				if len(want) != total {
+					t.Fatalf("deadline %d: oracle holds %d of %d", deadline, len(want), total)
+				}
 				tree := drainTree(treeForSolver(s), zero, ks)
-				sameEmission(t, fmt.Sprintf("deadline=%d", deadline), tree, heap, ks)
+				sameEmission(t, fmt.Sprintf("deadline=%d", deadline), tree, want)
 			}
 		})
 	}
@@ -128,23 +132,6 @@ func TestLoserTreePartialRewind(t *testing.T) {
 			consumed[b] = r.Intn(newKs[b] + 1)
 		}
 		got := drainTree(lt, consumed, newKs)
-
-		var want []platform.VirtualSlave
-		for b, lp := range s.legs {
-			for j := consumed[b]; j < newKs[b]; j++ {
-				want = append(want, platform.VirtualSlave{
-					Comm: lp.c1, Proc: -lp.inc.Emission(j) - lp.c1, Leg: b, Rank: j,
-				})
-			}
-		}
-		platform.SortVirtualSlaves(want)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: emitted %d, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: position %d: got %v, want %v", trial, i, got[i], want[i])
-			}
-		}
+		sameEmission(t, fmt.Sprintf("trial %d", trial), got, sortedCandidates(s, consumed, newKs))
 	}
 }

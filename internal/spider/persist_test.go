@@ -9,10 +9,10 @@ import (
 
 // TestPersistentMatchesFromScratchProbing runs the same query mix —
 // full min-makespan searches, deadline sweeps, task-count changes —
-// through the default probe-persistent path and the from-scratch
-// streaming path (SetFromScratchProbing): makespans and schedules must
-// be identical, the persistence only changes how much of the previous
-// probe's work each probe reuses.
+// through one warm probe-persistent solver and through the reference
+// path, which rebuilds and repacks everything from scratch at every
+// probe: makespans and schedules must be identical, the persistence
+// only changes how much of the previous probe's work each probe reuses.
 func TestPersistentMatchesFromScratchProbing(t *testing.T) {
 	trials := 40
 	if testing.Short() {
@@ -27,53 +27,26 @@ func TestPersistentMatchesFromScratchProbing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scratch, err := NewSolver(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scratch.SetFromScratchProbing(true)
-
 			mkP, schP, err := persist.MinMakespan(n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mkS, schS, err := scratch.MinMakespan(n)
+			mkR, schR, err := ReferenceMinMakespan(sp, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mkP != mkS {
-				t.Fatalf("persistent makespan %d, from-scratch %d", mkP, mkS)
+			if mkP != mkR {
+				t.Fatalf("persistent makespan %d, reference %d", mkP, mkR)
 			}
-			if !schP.Equal(schS) {
-				t.Fatalf("schedules diverge:\npersistent: %vfrom-scratch: %v", schP, schS)
+			if !schP.Equal(schR) {
+				t.Fatalf("schedules diverge:\npersistent: %vreference: %v", schP, schR)
 			}
-			// Warm solvers, interleaved deadline sweep and budget
+			// Warm solver, interleaved deadline sweep and budget
 			// changes: every rewind pattern — repeats, shrinks, grows,
 			// resets — must stay schedule-identical.
 			for _, m := range []int{n, max(1, n/2), n + 3, n} {
 				for deadline := platform.Time(0); deadline <= mkP+5; deadline += max(1, mkP/5) {
-					a, err := persist.MaxTasks(m, deadline)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := scratch.MaxTasks(m, deadline)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if a != b {
-						t.Fatalf("m=%d deadline=%d: persistent admits %d, from-scratch %d", m, deadline, a, b)
-					}
-					sa, err := persist.ScheduleWithin(m, deadline)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sb, err := scratch.ScheduleWithin(m, deadline)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sa.Equal(sb) {
-						t.Fatalf("m=%d deadline=%d: deadline-limited schedules diverge", m, deadline)
-					}
+					sameDeadlineAnswers(t, persist, sp, m, deadline)
 				}
 			}
 		})
@@ -81,7 +54,7 @@ func TestPersistentMatchesFromScratchProbing(t *testing.T) {
 }
 
 // TestPersistentMatchesFromScratchWide is the same identity on a wide
-// platform — the E5p regime where probe persistence exists to win and
+// platform — the regime where probe persistence exists to win and
 // where a rewind bug would be invisible to small randomized trials.
 func TestPersistentMatchesFromScratchWide(t *testing.T) {
 	if testing.Short() {
@@ -95,24 +68,18 @@ func TestPersistentMatchesFromScratchWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := NewSolver(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch.SetFromScratchProbing(true)
-
 	mkP, schP, err := persist.MinMakespan(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkS, schS, err := scratch.MinMakespan(n)
+	mkR, schR, err := ReferenceMinMakespan(sp, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mkP != mkS {
-		t.Fatalf("persistent makespan %d, from-scratch %d", mkP, mkS)
+	if mkP != mkR {
+		t.Fatalf("persistent makespan %d, reference %d", mkP, mkR)
 	}
-	if !schP.Equal(schS) {
+	if !schP.Equal(schR) {
 		t.Fatal("wide-platform schedules diverge")
 	}
 	if err := schP.Verify(); err != nil {
@@ -124,25 +91,31 @@ func TestPersistentMatchesFromScratchWide(t *testing.T) {
 	}
 }
 
-// TestTwoSidedSeedingReducesProbes pins the satellite claim with the
-// new telemetry, on the regime the seeding targets: wide platforms,
-// where the optimum sits a small port-contention gap above the
-// steady-state bound while the master-only upper bound (one leg doing
-// everything) is half a platform away — so galloping to a feasible
-// upper seed replaces most of the binary descent. The seeded search
-// must converge to the identical schedule while running strictly fewer
-// packing probes and strictly fewer feasibility probes. (On narrow
-// platforms the master-only bound is already close and the gallop can
-// cost a probe or two; the soundness test below covers those.)
+// TestTwoSidedSeedingReducesProbes pins the seeding's probe savings on
+// the regime it targets: wide platforms, where the optimum sits a small
+// port-contention gap above the steady-state bound while the
+// master-only upper bound (one leg doing everything) is half a platform
+// away — so galloping to a feasible upper seed replaces most of the
+// binary descent. The bars are the counts of the search without the
+// seeding (steady-state lower bound, master-only upper bound), measured
+// on these exact instances before that search was retired:
+//
+//   - unseededProbes: its feasibility probes;
+//   - unseededPacks: its packing probes when every probe packs from
+//     scratch. A seeded probe either packs or is answered from the
+//     decision log, so PackProbes+RewindHits is the comparable count.
+//
+// The seeded search must run strictly fewer of both.
 func TestTwoSidedSeedingReducesProbes(t *testing.T) {
 	for _, tc := range []struct {
-		seed        int64
-		lo, hi      platform.Time
-		legs, depth int
-		n           int
+		seed                          int64
+		lo, hi                        platform.Time
+		legs, depth                   int
+		n                             int
+		unseededProbes, unseededPacks int
 	}{
-		{99, 1, 9, 16, 2, 128},
-		{2025, 1, 30, 256, 3, 512},
+		{99, 1, 9, 16, 2, 128, 6, 7},
+		{2025, 1, 30, 256, 3, 512, 9, 10},
 	} {
 		g := platform.MustGenerator(tc.seed, tc.lo, tc.hi, platform.Bimodal)
 		sp := g.Spider(tc.legs, tc.depth)
@@ -151,61 +124,25 @@ func TestTwoSidedSeedingReducesProbes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		unseeded, err := NewSolver(sp)
-		if err != nil {
+		if _, _, err := seeded.MinMakespan(tc.n); err != nil {
 			t.Fatal(err)
 		}
-		unseeded.SetTwoSidedSeeding(false)
-
-		mkA, schA, err := seeded.MinMakespan(tc.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mkB, schB, err := unseeded.MinMakespan(tc.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mkA != mkB || !schA.Equal(schB) {
-			t.Fatalf("legs=%d n=%d: seeded search diverged: %d vs %d", tc.legs, tc.n, mkA, mkB)
-		}
-		a, b := seeded.Stats(), unseeded.Stats()
-		if a.Probes >= b.Probes {
+		st := seeded.Stats()
+		if st.Probes >= tc.unseededProbes {
 			t.Errorf("legs=%d n=%d: seeded search ran %d probes, unseeded %d — want a strict drop",
-				tc.legs, tc.n, a.Probes, b.Probes)
+				tc.legs, tc.n, st.Probes, tc.unseededProbes)
 		}
-
-		// The packing-probe drop is asserted on the from-scratch path,
-		// where every probe packs: in persistent mode the decision log
-		// absorbs probes on both sides (RewindHits), so PackProbes no
-		// longer measures search length there.
-		seededFS, err := NewSolver(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seededFS.SetFromScratchProbing(true)
-		unseededFS, err := NewSolver(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		unseededFS.SetFromScratchProbing(true)
-		unseededFS.SetTwoSidedSeeding(false)
-		if _, _, err := seededFS.MinMakespan(tc.n); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := unseededFS.MinMakespan(tc.n); err != nil {
-			t.Fatal(err)
-		}
-		af, bf := seededFS.Stats(), unseededFS.Stats()
-		if af.PackProbes >= bf.PackProbes {
-			t.Errorf("legs=%d n=%d: seeded from-scratch search ran %d packing probes, unseeded %d — want a strict drop",
-				tc.legs, tc.n, af.PackProbes, bf.PackProbes)
+		if packs := st.PackProbes + st.RewindHits; packs >= tc.unseededPacks {
+			t.Errorf("legs=%d n=%d: seeded search ran %d packing probes (incl. rewind hits), unseeded from-scratch %d — want a strict drop",
+				tc.legs, tc.n, packs, tc.unseededPacks)
 		}
 	}
 }
 
 // TestTwoSidedSeedingSoundRandomized: across regimes and sizes the
-// seeded and unseeded searches must agree exactly — the bounds are
-// proven, so seeding may only skip probes, never move the optimum.
+// seeded search must agree exactly with the reference search, which
+// bisects the whole [1, master-only] interval — the bounds are proven,
+// so seeding may only skip probes, never move the optimum.
 func TestTwoSidedSeedingSoundRandomized(t *testing.T) {
 	trials := 30
 	if testing.Short() {
@@ -220,21 +157,16 @@ func TestTwoSidedSeedingSoundRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			unseeded, err := NewSolver(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			unseeded.SetTwoSidedSeeding(false)
 			mkA, schA, err := seeded.MinMakespan(n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mkB, schB, err := unseeded.MinMakespan(n)
+			mkB, schB, err := ReferenceMinMakespan(sp, n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if mkA != mkB || !schA.Equal(schB) {
-				t.Fatalf("%v n=%d: seeded %d, unseeded %d", sp, n, mkA, mkB)
+				t.Fatalf("%v n=%d: seeded %d, reference %d", sp, n, mkA, mkB)
 			}
 		}
 	}

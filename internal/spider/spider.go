@@ -89,47 +89,29 @@ func (lp *legPlan) task(k, i int, deadline platform.Time) sched.ChainTask {
 // A Solver is not safe for concurrent use; independent Solvers are.
 type Solver struct {
 	sp platform.Spider
-	// legs[b] is leg b's plan view. With dedup on (the default),
-	// isomorphic legs — identical (c, w) sequences under platform.LegKey
-	// — share one *legPlan: the backward construction is paid once per
-	// distinct leg shape, not once per leg. Sharing is sound because a
-	// plan is a pure function of its chain (every consumer carries the
-	// leg index separately) and growth is deterministic.
+	// legs[b] is leg b's plan view. Isomorphic legs — identical (c, w)
+	// sequences under platform.LegKey — share one *legPlan: the backward
+	// construction is paid once per distinct leg shape, not once per
+	// leg. Sharing is sound because a plan is a pure function of its
+	// chain (every consumer carries the leg index separately) and growth
+	// is deterministic.
 	legs []*legPlan
 	// plans holds each distinct plan exactly once. The parallel prepare
 	// workers iterate plans, not legs, so no two goroutines ever grow
 	// the same shared plan.
-	plans    []*legPlan
-	dedupOff bool
+	plans []*legPlan
 
-	vbuf []platform.VirtualSlave // slice-packing probe scratch, admission order
-	kbuf []int                   // reused per-leg fit counts
-	cbuf []legCursor             // reused merge heap (from-scratch paths)
+	kbuf []int // reused per-leg fit counts
 
-	// Probe-persistent state (the default probing mode): the packer
-	// whose decision log survives across deadline probes, the tournament
-	// merge whose leg cursors survive with it, the fit counts of the
-	// recorded probe, and the per-leg retained counts Rewind reports.
+	// Probe-persistent state: the packer whose decision log survives
+	// across deadline probes, the tournament merge whose leg cursors
+	// survive with it, the fit counts of the recorded probe, and the
+	// per-leg retained counts Rewind reports.
 	pp       *fork.ProbePacker
 	lt       *loserTree
 	kprev    []int
 	consumed []int
 	grown    []mergeLeaf // probe scratch: grown runs' added-range cursors
-
-	// scratch is the pooled packer of the from-scratch streaming path,
-	// Reset instead of reallocated per probe.
-	scratch *fork.Packer
-
-	// slicePack routes probes through the materialised vbuf +
-	// fork.PackSorted path instead of streaming the merge into the tree
-	// packer; see SetSlicePacking.
-	slicePack bool
-	// scratchProbe routes probes through the PR 3-era from-scratch
-	// streaming path; see SetFromScratchProbing.
-	scratchProbe bool
-	// seed2off disables the two-sided deadline-search seeding; see
-	// SetTwoSidedSeeding.
-	seed2off bool
 
 	stats ProbeStats
 
@@ -150,9 +132,9 @@ type Solver struct {
 	// one pointer compare, the same floor as the trace hooks.
 	cancel *obs.CancelCheck
 
-	// buildNs is buildPlans' wall time (leg-key dedup + plan set-up),
+	// buildNs is NewSolver's plan set-up wall time (leg-key dedup),
 	// measured unconditionally because it happens before a trace can be
-	// attached; SetTrace flushes it once per build.
+	// attached; SetTrace flushes it once.
 	buildNs      time.Duration
 	buildFlushed bool
 
@@ -170,7 +152,8 @@ type Solver struct {
 }
 
 // ProbeStats is the solver's cumulative deadline-search telemetry; the
-// E5p ablation and the msbench -json probes-per-solve column read it.
+// service's per-response cost meta and admission control and the
+// msbench -json probes-per-solve column read it.
 type ProbeStats struct {
 	// Solves counts MinMakespan searches.
 	Solves int
@@ -187,8 +170,8 @@ type ProbeStats struct {
 	// recorded decision log — no merge, no packing work at all.
 	RewindHits int
 	// Reoffered counts candidates offered to the persistent packer
-	// after a rewind (the from-scratch paths re-offer every candidate,
-	// every probe; this is the persistent loop's total).
+	// after a rewind — the stream suffix each probe actually re-decided,
+	// where a from-scratch probe would re-offer every candidate.
 	Reoffered int64
 	// Constructed counts the backward placements built across the
 	// solver's distinct leg plans — the paid construction work, read at
@@ -208,7 +191,7 @@ func (s *Solver) Stats() ProbeStats {
 
 // SetTrace attaches (or, with nil, detaches) the phase trace the
 // solver's hooks report into, propagating it to every distinct leg
-// plan; the set-up cost already paid by buildPlans flushes into the
+// plan; the set-up cost already paid by NewSolver flushes into the
 // trace once. Attach between queries only — the trace itself is safe
 // for the solver's parallel growth workers, swapping it mid-solve is
 // not.
@@ -269,81 +252,34 @@ func NewSolver(sp platform.Spider) (*Solver, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Solver{sp: sp}
-	if err := s.buildPlans(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// buildPlans (re)builds the per-leg plan views and the distinct-plan
-// set according to the current dedup setting.
-func (s *Solver) buildPlans() error {
 	t0 := time.Now()
-	s.legs = make([]*legPlan, s.sp.NumLegs())
-	s.plans = s.plans[:0]
-	var shared map[string]*legPlan
-	if !s.dedupOff {
-		shared = make(map[string]*legPlan, len(s.legs))
-	}
-	for b, leg := range s.sp.Legs {
-		var key string
-		if shared != nil {
-			key = platform.LegKey(leg)
-			if lp := shared[key]; lp != nil {
-				s.legs[b] = lp
-				continue
-			}
+	s := &Solver{sp: sp, legs: make([]*legPlan, sp.NumLegs())}
+	shared := make(map[string]*legPlan, len(s.legs))
+	for b, leg := range sp.Legs {
+		key := platform.LegKey(leg)
+		if lp := shared[key]; lp != nil {
+			s.legs[b] = lp
+			continue
 		}
 		inc, err := core.NewIncremental(leg)
 		if err != nil {
-			return fmt.Errorf("spider: leg %d: %w", b, err)
+			return nil, fmt.Errorf("spider: leg %d: %w", b, err)
 		}
 		lp := &legPlan{inc: inc, c1: leg.Comm(1)}
 		s.legs[b] = lp
 		s.plans = append(s.plans, lp)
-		if shared != nil {
-			shared[key] = lp
-		}
+		shared[key] = lp
 	}
 	// Timed unconditionally (two clock reads on a cold path): a trace
 	// attached after construction still gets the set-up cost, flushed by
-	// SetTrace exactly once per build.
+	// SetTrace exactly once.
 	s.buildNs = time.Since(t0)
-	s.buildFlushed = false
-	return nil
-}
-
-// SetLegDedup toggles (default on) the isomorphic-leg plan sharing.
-// Off rebuilds one independent plan per leg — the pre-dedup cold path —
-// discarding all memoized growth and the probe-persistent state. The
-// schedules are identical either way (a plan is a pure function of its
-// chain); the knob exists for that assertion and for the E6 ablation
-// that measures what dedup buys on duplicate-heavy platforms.
-func (s *Solver) SetLegDedup(on bool) {
-	if s.dedupOff == !on {
-		return
-	}
-	s.dedupOff = !on
-	if err := s.buildPlans(); err != nil {
-		// The spider validated in NewSolver; plan construction cannot
-		// fail on the same legs afterwards.
-		panic(fmt.Sprintf("spider: rebuilding leg plans: %v", err))
-	}
-	// The old plans — and every probe structure holding pointers into
-	// them — are gone; drop the memo marks and persistent probe state so
-	// the next probe rebuilds from the fresh plans, and re-attach the
-	// trace to them (flushing the rebuild's set-up cost).
-	s.prepN, s.prepDeadline = 0, 0
-	s.pp, s.lt = nil, nil
-	s.scratch = nil
-	s.SetTrace(s.trace)
-	s.SetCancel(s.cancel)
+	return s, nil
 }
 
 // DistinctLegPlans returns how many backward constructions the solver
-// actually owns: the number of distinct leg shapes under dedup, or the
-// leg count with dedup off.
+// actually owns: the number of distinct leg shapes, which the
+// isomorphic-leg sharing makes at most the leg count.
 func (s *Solver) DistinctLegPlans() int { return len(s.plans) }
 
 // Spider returns the platform the solver schedules on.
@@ -364,8 +300,7 @@ func (s *Solver) prepare(n int, deadline platform.Time) error {
 	s.prepN = max(s.prepN, n)
 	s.prepDeadline = max(s.prepDeadline, deadline)
 	n, deadline = s.prepN, s.prepDeadline
-	// Growth walks the distinct plans: with dedup on, a shape shared by
-	// m legs is constructed once here and read m times later. Iterating
+	// Growth walks the distinct plans: a shape shared by m legs is constructed once here and read m times later. Iterating
 	// plans (not legs) is also what keeps the pool race-free — each
 	// worker owns the plans it draws, and no plan appears twice.
 	if len(s.plans) < 2 || n < 2 {
@@ -428,55 +363,6 @@ func growPlan(lp *legPlan, n int, deadline platform.Time) (err error) {
 	return nil
 }
 
-// legCursor walks one leg's candidate run during the admission-order
-// merge. Within a leg, ascending backward index j means strictly
-// ascending Proc (emissions strictly decrease) at constant Comm, so
-// each run is already sorted under the admission order; Rank is the
-// emission index k−1−j the reference path would assign.
-type legCursor struct {
-	lp  *legPlan
-	leg int
-	k   int
-	j   int
-	cur platform.VirtualSlave
-}
-
-func (c *legCursor) load() {
-	c.cur = platform.VirtualSlave{
-		Comm: c.lp.c1,
-		Proc: -c.lp.inc.Emission(c.j) - c.lp.c1,
-		Leg:  c.leg,
-		Rank: c.k - 1 - c.j,
-	}
-}
-
-// SetSlicePacking routes every subsequent probe through the legacy
-// materialise-and-PackSorted path — the full k-way merged virtual-slave
-// slice is rebuilt per probe and packed by the slice-based packer —
-// instead of streaming the merge into the balanced-tree packer. The two
-// paths produce identical schedules (the equivalence tests assert it);
-// the knob exists for that assertion and for the E5w ablation that
-// measures what the streaming tree packer buys on wide platforms.
-func (s *Solver) SetSlicePacking(on bool) { s.slicePack = on }
-
-// SetFromScratchProbing routes every subsequent probe through the
-// PR 3-era streaming path: a fresh heap merge over every leg cursor and
-// a freshly packed treap per probe, instead of the probe-persistent
-// packer and tournament merge. The paths produce identical schedules
-// (the equivalence tests assert it); the knob exists for that assertion
-// and for the E5p ablation that measures what probe persistence buys.
-// SetSlicePacking takes precedence when both are set.
-func (s *Solver) SetFromScratchProbing(on bool) { s.scratchProbe = on }
-
-// SetTwoSidedSeeding toggles (default on) the two-sided deadline-search
-// seeding of MinMakespan: the sum-of-fits lower-bound tightening and
-// the galloping feasible-upper-bound discovery. Off reverts to the PR 2
-// search (steady-state lower bound, master-only upper bound). The
-// converged optimum is identical either way — both bounds are proven —
-// which the equivalence tests assert; the knob exists for them and for
-// the probe-count telemetry comparison.
-func (s *Solver) SetTwoSidedSeeding(on bool) { s.seed2off = !on }
-
 // legCounts fills the per-leg fit counts for the deadline and returns
 // them along with their sum (the merged candidate total). The returned
 // slice is the solver's scratch buffer, valid until the next probe.
@@ -497,75 +383,7 @@ func (s *Solver) legCounts(n int, deadline platform.Time) ([]int, int) {
 	return ks, total
 }
 
-// merge streams the per-leg candidate runs in admission order into
-// emit, stopping early when emit returns false — the k-way merge of the
-// reference path's sorted multiset, produced lazily so consumers that
-// terminate early (the tree packer once n tasks are admitted) never pay
-// for the tail. ks are the per-leg run lengths from legCounts.
-func (s *Solver) merge(ks []int, emit func(platform.VirtualSlave) bool) {
-	s.cbuf = s.cbuf[:0]
-	for b, k := range ks {
-		if k > 0 {
-			c := legCursor{lp: s.legs[b], leg: b, k: k}
-			c.load()
-			s.cbuf = append(s.cbuf, c)
-		}
-	}
-	// Binary min-heap of cursors keyed by the admission order.
-	h := s.cbuf
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	for len(h) > 0 {
-		s.cancel.Checkpoint()
-		if !emit(h[0].cur) {
-			return
-		}
-		if h[0].j++; h[0].j < h[0].k {
-			h[0].load()
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftDown(h, 0)
-	}
-}
-
-// slicePackProbe is the legacy materialise-and-PackSorted probe: the
-// full k-way merged slice is rebuilt and packed from scratch.
-func (s *Solver) slicePackProbe(n int, deadline platform.Time, ks []int) (*fork.Allocation, error) {
-	s.stats.PackProbes++
-	s.vbuf = s.vbuf[:0]
-	s.merge(ks, func(v platform.VirtualSlave) bool {
-		s.vbuf = append(s.vbuf, v)
-		return true
-	})
-	return fork.PackSorted(s.vbuf, n, deadline)
-}
-
-// scratchStreamProbe is the PR 3 streaming probe: a heap merge feeds a
-// per-probe packing that stops as soon as n tasks are admitted. The
-// packer itself is pooled (Reset, not reallocated) across probes.
-func (s *Solver) scratchStreamProbe(n int, deadline platform.Time, ks []int) (*fork.Packer, error) {
-	s.stats.PackProbes++
-	if s.scratch == nil {
-		p, err := fork.NewPacker(n, deadline)
-		if err != nil {
-			return nil, err
-		}
-		s.scratch = p
-	} else if err := s.scratch.Reset(n, deadline); err != nil {
-		return nil, err
-	}
-	p := s.scratch
-	s.merge(ks, func(v platform.VirtualSlave) bool {
-		p.Offer(v)
-		return !p.Full()
-	})
-	return p, nil
-}
-
-// persistentProbe is the default probe: the recorded decision log of
+// persistentProbe runs one deadline probe: the recorded decision log of
 // the previous probe is rewound to its first divergence — the earliest
 // decision flip or candidate-stream change for the new deadline — and
 // only the suffix is re-decided. The re-decided stretch is not even
@@ -574,8 +392,8 @@ func (s *Solver) scratchStreamProbe(n int, deadline platform.Time, ks []int) (*f
 // small heap over just the grown runs' added candidates, and the full
 // tournament merge takes over only past the tail's end (which exists
 // only when the recorded run stopped on a filled budget). The admitted
-// set is provably identical to a from-scratch run, which the
-// equivalence ladder and fuzz tests assert.
+// set is provably identical to a from-scratch run, which the reference
+// equivalence and fuzz tests assert.
 func (s *Solver) persistentProbe(n int, deadline platform.Time, ks []int) error {
 	if s.pp == nil {
 		s.pp = fork.NewProbePacker()
@@ -709,16 +527,15 @@ func (s *Solver) drainMerge() {
 }
 
 // siftDown restores the min-heap order (ascending admission order of
-// the loaded candidates) below index i; shared by the legacy merge
-// heap and the grown-run cursor heap.
-func siftDown[T interface{ candidate() platform.VirtualSlave }](h []T, i int) {
+// the loaded candidates) of the grown-run cursor heap below index i.
+func siftDown(h []mergeLeaf, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		least := i
-		if l < len(h) && platform.CompareVirtualSlaves(h[l].candidate(), h[least].candidate()) < 0 {
+		if l < len(h) && platform.CompareVirtualSlaves(h[l].cur, h[least].cur) < 0 {
 			least = l
 		}
-		if r < len(h) && platform.CompareVirtualSlaves(h[r].candidate(), h[least].candidate()) < 0 {
+		if r < len(h) && platform.CompareVirtualSlaves(h[r].cur, h[least].cur) < 0 {
 			least = r
 		}
 		if least == i {
@@ -729,29 +546,13 @@ func siftDown[T interface{ candidate() platform.VirtualSlave }](h []T, i int) {
 	}
 }
 
-func (c legCursor) candidate() platform.VirtualSlave { return c.cur }
-
 // probeCount runs one deadline probe and returns the number of admitted
-// tasks, skipping allocation materialisation on the streaming paths.
+// tasks, skipping allocation materialisation.
 func (s *Solver) probeCount(n int, deadline platform.Time, ks []int) (int, error) {
 	var t0 time.Time
 	if s.trace != nil {
 		t0 = time.Now()
 		defer s.trace.ObserveSince(obs.PhasePack, t0)
-	}
-	if s.slicePack {
-		alloc, err := s.slicePackProbe(n, deadline, ks)
-		if err != nil {
-			return 0, err
-		}
-		return alloc.Len(), nil
-	}
-	if s.scratchProbe {
-		p, err := s.scratchStreamProbe(n, deadline, ks)
-		if err != nil {
-			return 0, err
-		}
-		return p.Len(), nil
 	}
 	if err := s.persistentProbe(n, deadline, ks); err != nil {
 		return 0, err
@@ -760,26 +561,16 @@ func (s *Solver) probeCount(n int, deadline platform.Time, ks []int) (int, error
 }
 
 // probeAlloc runs one deadline probe and returns the materialised
-// allocation. The persistent path's candidates carry the deadline-
+// allocation. The persistent probe's candidates carry the deadline-
 // independent backward index in Rank (so logged candidates stay
 // comparable across probes); materialisation translates them back to
-// the emission rank k−1−j every other path uses, so the allocation —
-// and hence the reverted schedule — is identical across all paths.
+// the emission rank k−1−j the reference path uses, so the allocation —
+// and hence the reverted schedule — is identical to the reference's.
 func (s *Solver) probeAlloc(n int, deadline platform.Time, ks []int) (*fork.Allocation, error) {
 	var t0 time.Time
 	if s.trace != nil {
 		t0 = time.Now()
 		defer s.trace.ObserveSince(obs.PhasePack, t0)
-	}
-	if s.slicePack {
-		return s.slicePackProbe(n, deadline, ks)
-	}
-	if s.scratchProbe {
-		p, err := s.scratchStreamProbe(n, deadline, ks)
-		if err != nil {
-			return nil, err
-		}
-		return p.Allocation(), nil
 	}
 	if err := s.persistentProbe(n, deadline, ks); err != nil {
 		return nil, err
@@ -878,11 +669,11 @@ func (s *Solver) ScheduleWithin(n int, deadline platform.Time) (out *sched.Spide
 // spider and a schedule achieving it, by binary search on the deadline
 // (the maximum task count within a deadline is non-decreasing in the
 // deadline, so feasibility of n tasks is monotone). The leg plans are
-// grown once, in parallel, for the upper bound; every probe then costs
+// grown in parallel as far as the search climbs; every probe then costs
 // only per-leg binary searches plus one (probe-persistent) packing.
 //
 // The search interval is seeded from both sides. Below: the proven
-// steady-state lower bound (baseline.LowerBoundSpider, PR 2) is
+// steady-state lower bound (baseline.LowerBoundSpider) is
 // tightened to the sum-of-fits bound — the smallest deadline whose
 // per-leg fit counts sum to n, a necessary condition for feasibility
 // found by binary search over fit counts alone, no packing. Above: the
@@ -890,7 +681,8 @@ func (s *Solver) ScheduleWithin(n int, deadline platform.Time) (out *sched.Spide
 // succeeds, replacing the master-only upper bound (one leg doing
 // everything) with a feasible deadline only a port-contention gap away.
 // Every bound is proven, so the converged optimum — and hence the
-// schedule — is unchanged, which the equivalence tests assert.
+// schedule — is the reference search's, which the equivalence tests
+// assert.
 //
 // A cancelled search does not leave empty-handed: every probe updates
 // the best-so-far bracket, and the cancellation unwind carries it out
@@ -927,17 +719,12 @@ func (s *Solver) MinMakespan(n int) (mk platform.Time, sol *sched.SpiderSchedule
 	}
 	br.Lo, br.Hi = lo, hi
 	brValid = true
-	if s.seed2off || lo >= hi {
-		if err := s.prepare(n, hi); err != nil {
-			return 0, nil, err
-		}
-	} else {
-		// Seeded: grow the leg plans only as far as the search actually
-		// climbs, instead of to the master-only horizon. Every probe
-		// below goes through prepare first, so the parallel growth still
-		// happens — but it stops a port-contention gap above the
-		// optimum, which on wide platforms is a fraction of the
-		// master-only cover that the PR 2 search constructed upfront.
+	if lo < hi {
+		// Grow the leg plans only as far as the search actually climbs,
+		// instead of to the master-only horizon. Every probe below goes
+		// through prepare first, so the parallel growth still happens —
+		// but it stops a port-contention gap above the optimum, which on
+		// wide platforms is a fraction of the master-only cover.
 		if err := s.prepare(n, lo); err != nil {
 			return 0, nil, err
 		}

@@ -7,11 +7,13 @@ import (
 	"repro/internal/platform"
 )
 
-// TestStreamingMatchesSlicePacking runs the same solver queries through
-// the default streaming tree-packer path and the legacy materialise-and-
-// PackSorted path (SetSlicePacking): makespans and schedules must be
-// identical — the streaming feed changes how the admission-order
-// multiset reaches the packer, never what is admitted.
+// TestStreamingMatchesSlicePacking runs the same queries through the
+// solver — its merge streamed into the probe-persistent tree packer —
+// and through the reference path, which materialises every leg plan
+// and packs the sorted multiset with the slice-based fork.PackSorted:
+// makespans and schedules must be identical. The streaming feed changes
+// how the admission-order multiset reaches the packer, never what is
+// admitted.
 func TestStreamingMatchesSlicePacking(t *testing.T) {
 	trials := 40
 	if testing.Short() {
@@ -26,56 +28,57 @@ func TestStreamingMatchesSlicePacking(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			slice, err := NewSolver(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slice.SetSlicePacking(true)
-
 			mkS, schS, err := stream.MinMakespan(n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mkL, schL, err := slice.MinMakespan(n)
+			mkR, schR, err := ReferenceMinMakespan(sp, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mkS != mkL {
-				t.Fatalf("streaming makespan %d, slice packing %d", mkS, mkL)
+			if mkS != mkR {
+				t.Fatalf("streaming makespan %d, reference %d", mkS, mkR)
 			}
-			if !schS.Equal(schL) {
-				t.Fatalf("schedules diverge:\nstreaming: %vslice: %v", schS, schL)
+			if !schS.Equal(schR) {
+				t.Fatalf("schedules diverge:\nstreaming: %vreference: %v", schS, schR)
 			}
 			for deadline := platform.Time(0); deadline <= mkS+5; deadline += max(1, mkS/7) {
-				a, err := stream.MaxTasks(n, deadline)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := slice.MaxTasks(n, deadline)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if a != b {
-					t.Fatalf("deadline %d: streaming admits %d, slice packing %d", deadline, a, b)
-				}
-				sa, err := stream.ScheduleWithin(n, deadline)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sb, err := slice.ScheduleWithin(n, deadline)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sa.Equal(sb) {
-					t.Fatalf("deadline %d: deadline-limited schedules diverge", deadline)
-				}
+				sameDeadlineAnswers(t, stream, sp, n, deadline)
 			}
 		})
 	}
 }
 
+// sameDeadlineAnswers requires the solver's MaxTasks and ScheduleWithin
+// at (n, deadline) to equal the reference path's.
+func sameDeadlineAnswers(t *testing.T, s *Solver, sp platform.Spider, n int, deadline platform.Time) {
+	t.Helper()
+	a, err := s.MaxTasks(n, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReferenceMaxTasks(sp, n, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatalf("n=%d deadline=%d: solver admits %d, reference %d", n, deadline, a, b)
+	}
+	sa, err := s.ScheduleWithin(n, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := ReferenceScheduleWithin(sp, n, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sa.Equal(sb) {
+		t.Fatalf("n=%d deadline=%d: deadline-limited schedules diverge", n, deadline)
+	}
+}
+
 // TestStreamingMatchesSlicePackingWide is the same identity on a wide
-// platform (hundreds of legs) — the E5w regime where the streaming tree
+// platform (hundreds of legs) — the regime where the streaming tree
 // packer exists to win, and where a divergence would be invisible to
 // the small randomized trials.
 func TestStreamingMatchesSlicePackingWide(t *testing.T) {
@@ -90,24 +93,18 @@ func TestStreamingMatchesSlicePackingWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slice, err := NewSolver(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slice.SetSlicePacking(true)
-
 	mkS, schS, err := stream.MinMakespan(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkL, schL, err := slice.MinMakespan(n)
+	mkR, schR, err := ReferenceMinMakespan(sp, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mkS != mkL {
-		t.Fatalf("streaming makespan %d, slice packing %d", mkS, mkL)
+	if mkS != mkR {
+		t.Fatalf("streaming makespan %d, reference %d", mkS, mkR)
 	}
-	if !schS.Equal(schL) {
+	if !schS.Equal(schR) {
 		t.Fatal("wide-platform schedules diverge")
 	}
 	if err := schS.Verify(); err != nil {

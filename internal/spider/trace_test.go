@@ -9,7 +9,7 @@ import (
 
 // TestTracePhaseAttribution: a traced solve must report spans into the
 // phases the solve actually runs — construction (leg plan growth),
-// dedup (buildPlans set-up, flushed on attach), merge (fit-count cuts),
+// dedup (NewSolver set-up, flushed on attach), merge (fit-count cuts),
 // pack (probe bodies) and extract (the Lemma-3 revert) — and detaching
 // must stop the reporting.
 func TestTracePhaseAttribution(t *testing.T) {
@@ -34,9 +34,9 @@ func TestTracePhaseAttribution(t *testing.T) {
 			t.Errorf("phase %s: no spans recorded (snapshot %+v)", p, snap.Map())
 		}
 	}
-	// The buildPlans set-up flushes exactly once, on first attach.
+	// The NewSolver set-up flushes exactly once, on first attach.
 	if snap.Spans[obs.PhaseDedup] != 1 {
-		t.Errorf("dedup spans = %d, want exactly 1 (the buildPlans flush)", snap.Spans[obs.PhaseDedup])
+		t.Errorf("dedup spans = %d, want exactly 1 (the NewSolver flush)", snap.Spans[obs.PhaseDedup])
 	}
 
 	// Detach: further queries must not grow the trace.
@@ -131,7 +131,7 @@ func TestTraceDisabledAllocations(t *testing.T) {
 }
 
 // BenchmarkWarmProbe / BenchmarkWarmProbeTraced bracket the hook
-// overhead on the E5p-style warm loop: same warmed solver, same query,
+// overhead on the warm probe loop: same warmed solver, same query,
 // with and without a trace attached. CI's bench smoke runs both; the
 // traced column should sit within noise of the plain one.
 func benchWarmProbe(b *testing.B, traced bool) {
