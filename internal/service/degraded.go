@@ -22,7 +22,9 @@ import (
 // actual probe before the search was interrupted. A degraded response
 // never fabricates a schedule — schedule-bearing queries do not degrade.
 
-// degrade converts an eligible failure into a degraded response.
+// degrade converts an eligible failure into a degraded response,
+// counting only repro_service_degraded_total{reason}: Solve's finish
+// stage has already counted the timeout or cancellation itself.
 // It reports false — leave the error alone — for non-failure errors
 // (validation, internal), schedule-bearing queries, and queries whose
 // degradation contract (allow_degraded, server default) says no.
@@ -68,7 +70,7 @@ func (s *Service) degrade(q *query, cause error) (*Response, bool) {
 	}
 	switch q.req.Op {
 	case OpMinMakespan:
-		lb, err := q.lowerBound(q.req.N)
+		lb, err := q.bounds().LowerBound(q.req.N)
 		if err != nil {
 			return nil, false
 		}
@@ -88,7 +90,7 @@ func (s *Service) degrade(q *query, cause error) (*Response, bool) {
 			}
 		}
 	case OpMaxTasks:
-		ub, err := q.tasksUpper(q.req.N, q.req.Deadline)
+		ub, err := q.bounds().TasksUpperBound(q.req.N, q.req.Deadline)
 		if err != nil {
 			return nil, false
 		}
@@ -99,40 +101,26 @@ func (s *Service) degrade(q *query, cause error) (*Response, bool) {
 		resp.RetryAfterSeconds = int64((oe.RetryAfter + 500*time.Millisecond) / time.Second)
 		s.m.degradedShed.Inc()
 	case isTimeout:
-		// The outcome classifier in Solve sees a nil error after this
-		// conversion; the per-reason counting moves here so the
-		// timeout/cancellation taxonomy still sees every failure.
-		s.m.timeouts.Inc()
 		s.m.degradedTimeout.Inc()
 	case isCancel:
-		s.m.cancellations.Inc()
 		s.m.degradedCancel.Inc()
 	}
 	return resp, true
 }
 
-// lowerBound is the O(legs) steady-state lower bound of the query's
-// platform — computable from the parsed request alone, no solver.
-func (q *query) lowerBound(n int) (platform.Time, error) {
+// bounds is the query's platform as the source of its solver-free
+// bounds: the O(legs) steady-state makespan lower bound and the
+// throughput-capped task-count upper bound.
+func (q *query) bounds() interface {
+	LowerBound(n int) (platform.Time, error)
+	TasksUpperBound(n int, deadline platform.Time) (int, error)
+} {
 	switch q.key.kind {
 	case "chain":
-		return q.chain.LowerBound(n)
+		return q.chain
 	case "tree":
-		return q.tr.LowerBound(n)
+		return q.tr
 	default: // "spider" (forks normalised to it at parse)
-		return q.sp.LowerBound(n)
-	}
-}
-
-// tasksUpper is the throughput-capped task-count upper bound of the
-// query's platform — the max_tasks analogue of lowerBound.
-func (q *query) tasksUpper(n int, deadline platform.Time) (int, error) {
-	switch q.key.kind {
-	case "chain":
-		return q.chain.TasksUpperBound(n, deadline)
-	case "tree":
-		return q.tr.TasksUpperBound(n, deadline)
-	default:
-		return q.sp.TasksUpperBound(n, deadline)
+		return q.sp
 	}
 }

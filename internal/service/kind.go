@@ -20,22 +20,29 @@ import (
 // registering a handler here, and every caching layer works for it
 // unchanged. Trees were the first kind to land this way.
 
-// backend is one warmed solver behind a cache entry. answer runs a
-// parsed query against it; setTrace attaches the entry's phase trace;
-// setCancel attaches (nil detaches) the per-solve cancellation
-// checkpoint; probeStats snapshots the solver's cumulative telemetry
-// in the shared ProbeStats shape (chains map their incremental
-// counters onto it). exportPlans and rehydrate are the plan-cache
-// spill/rehydrate seam: every backend's paid state is LegKey-keyed
-// backward sequences, whatever the wire kind. Implementations are not
-// safe for concurrent use (the entry mutex serialises callers).
+// backend is one warmed solver behind a cache entry: answer runs a
+// parsed query against it, and the rest is its engine's own surface.
+// Implementations are not safe for concurrent use (the entry mutex
+// serialises callers).
 type backend interface {
 	answer(q *query) (*solved, error)
-	setTrace(t *obs.SolveTrace)
-	setCancel(c *obs.CancelCheck)
-	probeStats() spider.ProbeStats
-	exportPlans() []spider.PlanExport
-	rehydrate(lookup func(key string) []sched.ChainTask) spider.RehydrateResult
+	engine
+}
+
+// engine is the surface every warmed solver shares, under the engines'
+// own method names: SetTrace attaches the entry's phase trace;
+// SetCancel attaches (nil detaches) the per-solve cancellation
+// checkpoint; Stats snapshots the cumulative telemetry in the shared
+// ProbeStats shape (chains map their incremental counters onto it).
+// ExportPlans and Rehydrate are the plan-cache spill/rehydrate seam:
+// every engine's paid state is LegKey-keyed backward sequences,
+// whatever the wire kind.
+type engine interface {
+	SetTrace(t *obs.SolveTrace)
+	SetCancel(c *obs.CancelCheck)
+	Stats() spider.ProbeStats
+	ExportPlans() []spider.PlanExport
+	Rehydrate(lookup func(key string) []sched.ChainTask) spider.RehydrateResult
 }
 
 // kindHandler describes one wire platform kind.
@@ -54,7 +61,7 @@ type kindHandler struct {
 	// prepare normalises the decoded platform into the query, checks
 	// the overflow horizon for horizonN tasks, and returns the literal
 	// platform value the flight key digests (the requester's own
-	// numbering, NOT order-normalised — see Service.parse).
+	// numbering, NOT order-normalised — see flightKey).
 	prepare func(q *query, dec platform.Decoded, horizonN int) (literal any, err error)
 	// construct builds the warmed backend for the query's platform.
 	construct func(q *query) (backend, error)
@@ -85,7 +92,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &chainBackend{inc: inc}, nil
+			return &chainBackend{inc}, nil
 		},
 	})
 	registerKind(&kindHandler{
@@ -118,7 +125,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &spiderishBackend{s: ts, remap: treeRemap(ts)}, nil
+			return &spiderishBackend{ts, treeRemap(ts)}, nil
 		},
 	})
 }
@@ -128,7 +135,7 @@ func constructSpider(q *query) (backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &spiderishBackend{s: solver, remap: func(q *query, sch *sched.SpiderSchedule) error {
+	return &spiderishBackend{solver, func(q *query, sch *sched.SpiderSchedule) error {
 		return remapLegs(sch, solver.Spider(), q.sp)
 	}}, nil
 }
@@ -159,19 +166,17 @@ func treeRemap(ts *tree.Solver) func(q *query, sch *sched.SpiderSchedule) error 
 	}
 }
 
-// chainBackend answers chain queries from a warmed incremental engine.
+// chainBackend answers chain queries from a warmed incremental engine,
+// whose SetTrace and SetCancel it promotes.
 type chainBackend struct {
-	inc *core.Incremental
+	*core.Incremental
 }
 
-func (b *chainBackend) setTrace(t *obs.SolveTrace)   { b.inc.SetTrace(t) }
-func (b *chainBackend) setCancel(c *obs.CancelCheck) { b.inc.SetCancel(c) }
-
-// probeStats maps the incremental plan's counters onto the shared
-// shape: FitWithin evaluations are the chain analogue of probes, the
-// cached backward placements the paid construction work.
-func (b *chainBackend) probeStats() spider.ProbeStats {
-	st := b.inc.Stats()
+// Stats maps the incremental plan's counters onto the shared shape:
+// FitWithin evaluations are the chain analogue of probes, the cached
+// backward placements the paid construction work.
+func (b *chainBackend) Stats() spider.ProbeStats {
+	st := b.Incremental.Stats()
 	return spider.ProbeStats{
 		Solves:      int(st.Solves),
 		Probes:      int(st.Fits),
@@ -180,30 +185,30 @@ func (b *chainBackend) probeStats() spider.ProbeStats {
 	}
 }
 
-// exportPlans treats the chain as the one-leg platform it is: its plan
+// ExportPlans treats the chain as the one-leg platform it is: its plan
 // spills under the leg's own key, so a spider containing this chain as
 // a leg shares the spilled construction (and vice versa).
-func (b *chainBackend) exportPlans() []spider.PlanExport {
-	if b.inc.Len() == 0 {
+func (b *chainBackend) ExportPlans() []spider.PlanExport {
+	if b.Len() == 0 {
 		return nil
 	}
 	return []spider.PlanExport{{
-		Key:      platform.LegKey(b.inc.Chain()),
-		Backward: b.inc.ExportBackward(),
+		Key:      platform.LegKey(b.Chain()),
+		Backward: b.ExportBackward(),
 	}}
 }
 
-func (b *chainBackend) rehydrate(lookup func(key string) []sched.ChainTask) spider.RehydrateResult {
+func (b *chainBackend) Rehydrate(lookup func(key string) []sched.ChainTask) spider.RehydrateResult {
 	res := spider.RehydrateResult{Plans: 1}
-	if b.inc.Len() > 0 {
+	if b.Len() > 0 {
 		res.Hydrated = 1
 		return res
 	}
-	tasks := lookup(platform.LegKey(b.inc.Chain()))
+	tasks := lookup(platform.LegKey(b.Chain()))
 	if len(tasks) == 0 {
 		return res
 	}
-	if err := b.inc.ImportBackward(tasks); err != nil {
+	if err := b.ImportBackward(tasks); err != nil {
 		res.Failed, res.Err = 1, err
 		return res
 	}
@@ -216,7 +221,7 @@ func (b *chainBackend) answer(q *query) (*solved, error) {
 	sol := &solved{}
 	switch q.req.Op {
 	case OpMinMakespan:
-		sch, err := b.inc.Schedule(n)
+		sch, err := b.Schedule(n)
 		if err != nil {
 			return nil, err
 		}
@@ -227,16 +232,16 @@ func (b *chainBackend) answer(q *query) (*solved, error) {
 	case OpMaxTasks:
 		if wantSched {
 			// One solve serves both: the schedule's length IS the count.
-			sch, err := b.inc.ScheduleWithin(n, dl)
+			sch, err := b.ScheduleWithin(n, dl)
 			if err != nil {
 				return nil, err
 			}
 			sol.tasks, sol.chainSched = sch.Len(), sch
 		} else {
-			sol.tasks = b.inc.FitWithin(n, dl)
+			sol.tasks = b.FitWithin(n, dl)
 		}
 	case OpScheduleWithin:
-		sch, err := b.inc.ScheduleWithin(n, dl)
+		sch, err := b.ScheduleWithin(n, dl)
 		if err != nil {
 			return nil, err
 		}
@@ -248,35 +253,21 @@ func (b *chainBackend) answer(q *query) (*solved, error) {
 	return sol, nil
 }
 
-// spiderish is the query surface spider.Solver and tree.Solver share;
-// any engine producing spider-expressed schedules slots in here.
+// spiderish is the engine spider.Solver and tree.Solver share; any
+// engine producing spider-expressed schedules slots in here.
 type spiderish interface {
+	engine
 	MinMakespan(n int) (platform.Time, *sched.SpiderSchedule, error)
 	MaxTasks(n int, deadline platform.Time) (int, error)
 	ScheduleWithin(n int, deadline platform.Time) (*sched.SpiderSchedule, error)
-	SetTrace(t *obs.SolveTrace)
-	SetCancel(c *obs.CancelCheck)
-	Stats() spider.ProbeStats
-	ExportPlans() []spider.PlanExport
-	Rehydrate(lookup func(key string) []sched.ChainTask) spider.RehydrateResult
 }
 
 // spiderishBackend answers queries whose schedules are expressed on a
 // spider — the spider/fork solver and the tree cover solver — and
 // remaps returned schedules onto the requester's own numbering.
 type spiderishBackend struct {
-	s     spiderish
+	spiderish
 	remap func(q *query, sch *sched.SpiderSchedule) error
-}
-
-func (b *spiderishBackend) setTrace(t *obs.SolveTrace)    { b.s.SetTrace(t) }
-func (b *spiderishBackend) setCancel(c *obs.CancelCheck)  { b.s.SetCancel(c) }
-func (b *spiderishBackend) probeStats() spider.ProbeStats { return b.s.Stats() }
-func (b *spiderishBackend) exportPlans() []spider.PlanExport {
-	return b.s.ExportPlans()
-}
-func (b *spiderishBackend) rehydrate(lookup func(key string) []sched.ChainTask) spider.RehydrateResult {
-	return b.s.Rehydrate(lookup)
 }
 
 func (b *spiderishBackend) answer(q *query) (*solved, error) {
@@ -284,7 +275,7 @@ func (b *spiderishBackend) answer(q *query) (*solved, error) {
 	sol := &solved{}
 	switch q.req.Op {
 	case OpMinMakespan:
-		mk, sch, err := b.s.MinMakespan(n)
+		mk, sch, err := b.MinMakespan(n)
 		if err != nil {
 			return nil, err
 		}
@@ -295,20 +286,20 @@ func (b *spiderishBackend) answer(q *query) (*solved, error) {
 	case OpMaxTasks:
 		if wantSched {
 			// One solve serves both: the schedule's length IS the count.
-			sch, err := b.s.ScheduleWithin(n, dl)
+			sch, err := b.ScheduleWithin(n, dl)
 			if err != nil {
 				return nil, err
 			}
 			sol.tasks, sol.spiderSched = sch.Len(), sch
 		} else {
-			k, err := b.s.MaxTasks(n, dl)
+			k, err := b.MaxTasks(n, dl)
 			if err != nil {
 				return nil, err
 			}
 			sol.tasks = k
 		}
 	case OpScheduleWithin:
-		sch, err := b.s.ScheduleWithin(n, dl)
+		sch, err := b.ScheduleWithin(n, dl)
 		if err != nil {
 			return nil, err
 		}

@@ -5,13 +5,13 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,11 +111,11 @@ type Service struct {
 	// reports 503 so load balancers stop routing here.
 	draining atomic.Bool
 
-	mu       sync.Mutex
-	entries  map[ckey]*list.Element // -> *entry in lru
-	lru      *list.List             // front = most recently used
-	flight   map[string]*call       // identical in-flight queries
-	building map[ckey]*construction // in-flight solver builds
+	mu      sync.Mutex
+	entries map[ckey]*list.Element      // -> *entry in lru
+	lru     *list.List                  // front = most recently used
+	flights group[flightKey, *Response] // identical in-flight queries
+	builds  group[ckey, *entry]         // in-flight solver builds
 
 	slowMu sync.Mutex // serialises slow-query log lines
 
@@ -147,14 +147,14 @@ func New(cfg Config) *Service {
 		cfg.MaxBody = maxRequestBytes
 	}
 	s := &Service{
-		cfg:      cfg,
-		start:    time.Now(),
-		entries:  make(map[ckey]*list.Element),
-		lru:      list.New(),
-		flight:   make(map[string]*call),
-		building: make(map[ckey]*construction),
+		cfg:     cfg,
+		start:   time.Now(),
+		entries: make(map[ckey]*list.Element),
+		lru:     list.New(),
 	}
 	s.m = newMetrics(s)
+	s.flights = group[flightKey, *Response]{mu: &s.mu, m: make(map[flightKey]*flight[*Response]), joins: s.m.coalesced}
+	s.builds = group[ckey, *entry]{mu: &s.mu, m: make(map[ckey]*flight[*entry])}
 	s.adm = newAdmission(cfg.Workers, warmReserve(cfg.Workers, cfg.WarmSlots),
 		cfg.QueueMax, cfg.ShedBudget, s.m.sheds)
 	s.cm = newCostModel()
@@ -178,11 +178,7 @@ func (s *Service) Metrics() *obs.Registry { return s.m.reg }
 func (s *Service) uptime() time.Duration { return time.Since(s.start) }
 
 // ckey is the cache key: the canonical fingerprint plus the solver
-// kind (kindHandler.solverKind). The kind matters because a chain and
-// its one-leg spider share a fingerprint by design but are answered by
-// different engines whose optimal schedules — and wire envelopes —
-// legitimately differ; forks normalise to the spider kind, so a fork
-// and its spider form still share one warmed solver.
+// kind (kindHandler.solverKind says why the kind is in it).
 type ckey struct {
 	kind string // "chain" | "spider" | "tree"
 	hash platform.Hash
@@ -231,20 +227,75 @@ func (s *Service) Stats() Stats {
 // failures. The HTTP layer maps it to a 5xx; everything else is a 4xx.
 var ErrInternal = errors.New("service: internal error")
 
-// call is one in-flight query; identical queries wait on done and share
-// the result.
-type call struct {
+// group is a keyed singleflight: concurrent do calls with equal keys
+// share one run of fn. The service runs two, over its own cache lock —
+// flights (identical queries) and builds (solver constructions) — so
+// "check the LRU, then join or start a build" is one critical section
+// with respect to the insert that ends a build.
+type group[K comparable, V any] struct {
+	mu    *sync.Mutex // guards m; the service's s.mu
+	m     map[K]*flight[V]
+	joins *obs.Counter // counts callers joining a run; nil counts none
+}
+
+// flight is one run of a group's fn; joiners wait on done.
+type flight[V any] struct {
 	done chan struct{}
-	resp *Response
+	v    V
 	err  error
 }
 
-// construction is one in-flight solver build; queries for the same
-// platform fingerprint wait on done and share the entry.
-type construction struct {
-	done chan struct{}
-	e    *entry
-	err  error
+// do returns key's result: it joins the run in flight for key, or
+// leads a new one. It is entered with g.mu held and returns with it
+// released; joined reports that the result is another caller's. A
+// joiner waits on its own ctx, so a stuck leader cannot pin it past its
+// deadline. A leader that died of its own context (deadline,
+// disconnect) has not failed the joiner: a joiner whose ctx is still
+// live re-enters once, the first re-entrant leading a fresh run and the
+// rest joining it. Only the first join of a call counts into joins.
+func (g *group[K, V]) do(ctx context.Context, key K, fn func() (V, error)) (v V, joined bool, err error) {
+	for reentered := false; ; reentered = true {
+		f, ok := g.m[key]
+		if !ok {
+			v, err = g.lead(key, fn)
+			return v, false, err
+		}
+		if !reentered && g.joins != nil {
+			g.joins.Inc()
+		}
+		g.mu.Unlock()
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return v, true, ctx.Err()
+		}
+		if reentered || ctx.Err() != nil ||
+			!errors.Is(f.err, context.DeadlineExceeded) && !errors.Is(f.err, context.Canceled) {
+			return f.v, true, f.err
+		}
+		g.mu.Lock()
+	}
+}
+
+// lead runs fn for key and resolves the run on every exit. A panic out
+// of fn becomes an ErrInternal error for the leader and every joiner
+// alike: a run left unresolved would block every later caller of key.
+func (g *group[K, V]) lead(key K, fn func() (V, error)) (v V, err error) {
+	f := &flight[V]{done: make(chan struct{})}
+	g.m[key] = f
+	g.mu.Unlock()
+	defer func() {
+		if r := recover(); r != nil {
+			var zero V
+			v, err = zero, fmt.Errorf("%w: %v", ErrInternal, r)
+		}
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		f.v, f.err = v, err
+		close(f.done)
+	}()
+	return fn()
 }
 
 // entry is one warmed solver: the backend the kind registry constructed
@@ -308,25 +359,36 @@ func memoKeyFor(q *query) (memoKey, bool) {
 // query is a parsed, validated request. The kind handler's prepare
 // fills exactly the platform field matching the solver kind.
 type query struct {
-	req       *Request
-	ctx       context.Context // request context: deadline + disconnect
-	key       ckey            // cache key: solver kind (forks → spider) + fingerprint
-	h         *kindHandler    // the wire kind's registry entry
-	chain     platform.Chain  // chain kind
-	sp        platform.Spider // spider kind, request leg order
-	tr        platform.Tree   // tree kind, request sibling order
-	size      int             // platform leg count, the cold-cost size proxy
-	flightKey string
-	// retried marks that this query already re-entered the cache path
-	// once after inheriting a dead leader's context error, so a second
-	// inherited failure is returned as-is.
-	retried bool
+	req    *Request
+	ctx    context.Context // request context: deadline + disconnect
+	key    ckey            // cache key: solver kind (forks → spider) + fingerprint
+	h      *kindHandler    // the wire kind's registry entry
+	chain  platform.Chain  // chain kind
+	sp     platform.Spider // spider kind, request leg order
+	tr     platform.Tree   // tree kind, request sibling order
+	size   int             // platform leg count, the cold-cost size proxy
+	flight flightKey
 }
 
-// parse decodes and validates the request. Unlike the cache key, the
-// flight key is NOT order-normalised: it digests the literal platform,
-// so coalesced requests share leg numbering and the pre-built response
-// — including its schedule — is correct for every joiner verbatim.
+// flightKey identifies identical queries: coalesced joiners share the
+// leader's response verbatim, so every field that shapes a response is
+// in it. Unlike the cache key it digests the literal platform, NOT the
+// order-normalised one, so joiners share the leader's leg numbering —
+// and its schedule. The allow_degraded tri-state is in it because a
+// degraded 200 is only correct for joiners with the same contract.
+type flightKey struct {
+	literal         [sha256.Size]byte
+	kind            string
+	op              Op
+	n               int
+	deadline        platform.Time
+	includeSchedule bool
+	degradeSet      bool // allow_degraded present
+	degrade         bool // its value
+}
+
+// parse decodes and validates the request into a query carrying its
+// cache key and flight key.
 func (s *Service) parse(req *Request) (*query, error) {
 	if !req.Op.valid() {
 		return nil, fmt.Errorf("service: unknown op %q (want %s, %s or %s)", req.Op, OpMinMakespan, OpMaxTasks, OpScheduleWithin)
@@ -364,16 +426,13 @@ func (s *Service) parse(req *Request) (*query, error) {
 	case req.N > s.cfg.MaxN:
 		return nil, fmt.Errorf("service: task count %d exceeds the per-query limit %d", req.N, s.cfg.MaxN)
 	}
-	lit := sha256.Sum256(literal)
-	// The allow_degraded tri-state is part of the flight key: coalesced
-	// joiners share the leader's response verbatim, and a degraded 200
-	// is only correct for joiners with the same degradation contract.
-	deg := "-"
-	if req.AllowDegraded != nil {
-		deg = fmt.Sprintf("%t", *req.AllowDegraded)
+	q.flight = flightKey{
+		literal: sha256.Sum256(literal), kind: q.key.kind,
+		op: req.Op, n: req.N, deadline: req.Deadline, includeSchedule: req.IncludeSchedule,
 	}
-	q.flightKey = fmt.Sprintf("%s|%s|%s|%d|%d|%t|%s",
-		hex.EncodeToString(lit[:]), q.key.kind, req.Op, req.N, req.Deadline, req.IncludeSchedule, deg)
+	if req.AllowDegraded != nil {
+		q.flight.degradeSet, q.flight.degrade = true, *req.AllowDegraded
+	}
 	return q, nil
 }
 
@@ -390,14 +449,18 @@ func (s *Service) solveDeadline(req *Request) time.Duration {
 	return d
 }
 
-// Solve answers one query, coalescing with identical in-flight queries
-// and reusing (or constructing) the warmed solver for the platform.
-// The context carries the caller's cancellation (an HTTP client
+// Solve answers one query in stages: parse validates it and derives
+// its cache and flight keys; coalesce joins an identical query in
+// flight, or leads it through lookup (the warmed entry, or the one
+// build in flight for the platform), answer (memo, or admitted solve
+// under the entry lock) and respond (metrics, wire encoding, slow log);
+// finish then counts a timeout or cancellation and tries degrade, for
+// leader and joiner alike. The context carries the caller's cancellation (an HTTP client
 // disconnect, the drain deadline) and is tightened by the configured
 // solve timeout; a dead context stops the solver at its cooperative
 // checkpoints and surfaces as the context's error. nil is accepted and
 // means context.Background().
-func (s *Service) Solve(ctx context.Context, req *Request) (resp *Response, err error) {
+func (s *Service) Solve(ctx context.Context, req *Request) (*Response, error) {
 	s.m.inflight.Add(1)
 	defer s.m.inflight.Add(-1)
 	if ctx == nil {
@@ -408,238 +471,179 @@ func (s *Service) Solve(ctx context.Context, req *Request) (resp *Response, err 
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	// Outcome classification happens once, here, whatever path produced
-	// the error: the counters are the /metrics taxonomy (timeout vs
-	// cancellation), and coalesced joiners inheriting a leader's fate
-	// count too — the client saw the failure either way.
-	defer func() {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.m.timeouts.Inc()
-		case errors.Is(err, context.Canceled):
-			s.m.cancellations.Inc()
-		}
-	}()
 	q, err := s.parse(req)
 	if err != nil {
 		return nil, err
 	}
 	q.ctx = ctx
-	// Degraded conversion runs on every exit below — leader and joiner
-	// alike — AFTER the flight defer has published the raw outcome
-	// (defers are LIFO): joiners sharing a failed flight convert their
-	// own copy, under their own (identical, by flight key) contract. It
-	// runs BEFORE the outcome classifier above, which then sees nil and
-	// leaves the per-reason counting to degrade.
-	defer func() {
-		if err == nil {
-			return
-		}
-		if d, ok := s.degrade(q, err); ok {
-			resp, err = d, nil
-		}
-	}()
-
-	s.mu.Lock()
-	if c, ok := s.flight[q.flightKey]; ok {
-		// An identical query is already solving: join it. Joiners wait
-		// on their own context — a leader stuck in a long solve must not
-		// pin a joiner past its deadline.
-		s.m.coalesced.Inc()
-		s.mu.Unlock()
-		select {
-		case <-c.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if c.err != nil {
-			return nil, c.err
-		}
-		joined := *c.resp
-		joined.Meta.Coalesced = true
-		return &joined, nil
-	}
-	c := &call{done: make(chan struct{})}
-	s.flight[q.flightKey] = c
-	// Resolve the flight on every exit — panics included: a leaked
-	// flight entry would block all future identical queries forever.
-	defer func() {
-		if r := recover(); r != nil {
-			resp, err = nil, fmt.Errorf("%w: %v", ErrInternal, r)
-		}
-		s.mu.Lock()
-		delete(s.flight, q.flightKey)
-		s.mu.Unlock()
-		c.resp, c.err = resp, err
-		close(c.done)
-	}()
-	return s.solveLeading(q)
+	resp, err := s.coalesce(q)
+	return s.finish(q, resp, err)
 }
 
-// solveLeading runs the query that owns the flight slot. It is entered
-// with s.mu held and returns with it released.
-func (s *Service) solveLeading(q *query) (*Response, error) {
-	var e *entry
-	cache := "miss"
-	// admitWaived marks that this very request just paid cold-class
-	// admission for the construction; its first solve is admitted
-	// without a second shed decision (it still waits its slot turn).
-	admitWaived := false
-	if el, ok := s.entries[q.key]; ok {
-		s.lru.MoveToFront(el)
-		e = el.Value.(*entry)
-		s.m.hits.Inc()
-		cache = "hit"
-		s.mu.Unlock()
-	} else if b, ok := s.building[q.key]; ok {
-		// A different query is already building this platform's
-		// solver: wait for it rather than constructing twice — on our
-		// own context, so a stuck build cannot pin us past our deadline.
-		s.m.misses.Inc()
-		s.mu.Unlock()
-		select {
-		case <-b.done:
-		case <-q.ctx.Done():
-			return nil, q.ctx.Err()
-		}
-		if b.err != nil {
-			// A leader dying of ITS deadline (or client disconnect) is
-			// not this query's failure: re-enter the cache path once —
-			// the building slot is gone, so this query reconstructs
-			// under its own, still-live context.
-			if !q.retried && q.ctx.Err() == nil &&
-				(errors.Is(b.err, context.Canceled) || errors.Is(b.err, context.DeadlineExceeded)) {
-				q.retried = true
-				s.mu.Lock()
-				return s.solveLeading(q)
-			}
-			return nil, b.err
-		}
-		e = b.e
-	} else {
-		b := &construction{done: make(chan struct{})}
-		s.building[q.key] = b
-		s.m.misses.Inc()
-		s.mu.Unlock()
-		b.e, b.err = s.construct(q)
-		s.mu.Lock()
-		delete(s.building, q.key)
-		s.mu.Unlock()
-		close(b.done)
-		if b.err != nil {
-			return nil, b.err
-		}
-		e = b.e
-		admitWaived = true
+// coalesce is the flight stage: an identical query in flight is joined
+// and its response shared (marked coalesced); otherwise this query
+// leads, and its raw outcome is what every joiner sees.
+func (s *Service) coalesce(q *query) (*Response, error) {
+	s.mu.Lock()
+	resp, joined, err := s.flights.do(q.ctx, q.flight, func() (*Response, error) { return s.lead(q) })
+	if err != nil || !joined {
+		return resp, err
 	}
+	shared := *resp
+	shared.Meta.Coalesced = true
+	return &shared, nil
+}
 
-	// Entry mutex BEFORE the worker slot: same-entry queries serialise
-	// on e.mu anyway, and taking a slot first would let them pin every
-	// slot while waiting their turn, starving other platforms. No
-	// deadlock: slot holders never wait on an entry mutex. An exact
-	// repeat of a scalar query resolves from the memo inside the entry
-	// mutex alone — no worker slot, no admission, no solve.
-	var solveNs int64
-	var cost *Cost
-	var phaseDelta obs.PhaseSnapshot
+// lead is the flight leader's path: lookup → answer → respond.
+func (s *Service) lead(q *query) (*Response, error) {
+	e, cache, waived, err := s.lookup(q)
+	if err != nil {
+		return nil, err
+	}
+	sol, err := s.answer(q, e, waived)
+	if err != nil {
+		return nil, err
+	}
+	return s.respond(q, sol, cache)
+}
+
+// finish is the outcome stage, run once per request on its raw result:
+// a timeout or cancellation is counted, then degrade may turn the
+// failure into a bounded answer under the request's own contract.
+func (s *Service) finish(q *query, resp *Response, err error) (*Response, error) {
+	if err == nil {
+		return resp, nil
+	}
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		s.m.timeouts.Inc()
+	case errors.Is(err, context.Canceled):
+		s.m.cancellations.Inc()
+	}
+	if d, ok := s.degrade(q, err); ok {
+		return d, nil
+	}
+	return nil, err
+}
+
+// lookup is the entry stage. A warmed entry counts a hit; otherwise the
+// request counts one miss and takes the entry of the one build the
+// builds group runs for the key. waived reports that this request ran
+// that build itself, paying cold-class admission, so its first solve
+// is admitted without a second shed decision (it still waits its turn).
+func (s *Service) lookup(q *query) (e *entry, cache string, waived bool, err error) {
+	s.mu.Lock()
+	if e := s.cachedLocked(q.key); e != nil {
+		s.mu.Unlock()
+		s.m.hits.Inc()
+		return e, "hit", false, nil
+	}
+	s.m.misses.Inc()
+	e, _, err = s.builds.do(q.ctx, q.key, func() (*entry, error) {
+		// A waiter re-entering after a dead leader may find that another
+		// build finished in between; a key cached a moment ago is never
+		// rebuilt.
+		s.mu.Lock()
+		e := s.cachedLocked(q.key)
+		s.mu.Unlock()
+		if e != nil {
+			return e, nil
+		}
+		waived = true
+		return s.construct(q)
+	})
+	return e, "miss", waived, err
+}
+
+// cachedLocked returns key's warmed entry, marking it most recently
+// used, or nil. s.mu is held.
+func (s *Service) cachedLocked(key ckey) *entry {
+	el, ok := s.entries[key]
+	if !ok {
+		return nil
+	}
+	s.lru.MoveToFront(el)
+	return el.Value.(*entry)
+}
+
+// answer is the solve stage, run under the entry mutex: memo, admit,
+// quarantine-recover, fault site, cancel checkpoint, solve, cost delta
+// and memo store.
+//
+// Entry mutex BEFORE the worker slot: same-entry queries serialise on
+// e.mu anyway, and taking a slot first would let them pin every slot
+// while waiting their turn, starving other platforms. No deadlock: slot
+// holders never wait on an entry mutex. An exact repeat of a scalar
+// query resolves from the memo inside the entry mutex alone — no worker
+// slot, no admission, no solve.
+func (s *Service) answer(q *query, e *entry, waived bool) (sol *solved, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	memoK, memoable := memoKeyFor(q)
-	memoHit := false
-	sol, err := func() (sol *solved, err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if memoable {
-			if v, ok := e.memo[memoK]; ok {
-				memoHit = true
-				cost = &Cost{}
-				return &solved{tasks: v.tasks, makespan: v.makespan}, nil
+	if memoable {
+		if v, ok := e.memo[memoK]; ok {
+			return &solved{tasks: v.tasks, makespan: v.makespan, memo: true, cost: &Cost{}}, nil
+		}
+	}
+	release, err := s.adm.admit(q.ctx, s.cm.predict(q.key.kind, false, q.size), classWarm, waived)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	// Panic quarantine: a panicking solve poisons the warmed entry — its
+	// internal state is mid-unwind garbage — so the entry is evicted and
+	// the next query reconstructs fresh, instead of every future (and
+	// coalesced) query re-hitting the same panic. A
+	// cancellation-checkpoint unwind is NOT poison: it is the solver's
+	// own orderly exit and must never quarantine.
+	defer func() {
+		if r := recover(); r != nil {
+			if ce, ok := obs.Canceled(r); ok {
+				err = ce
+				return
 			}
+			s.quarantine(e)
+			err = fmt.Errorf("%w: solving: %v", ErrInternal, r)
 		}
-		release, admErr := s.adm.admit(q.ctx, s.cm.predict(q.key.kind, false, q.size), classWarm, admitWaived)
-		if admErr != nil {
-			return nil, admErr
-		}
-		defer release()
-		// Panic quarantine: a panicking solve poisons the warmed entry —
-		// its internal state is mid-unwind garbage — so the entry is
-		// evicted and the next query reconstructs fresh, instead of every
-		// future (and coalesced) query re-hitting the same panic. A
-		// cancellation-checkpoint unwind is NOT poison: it is the
-		// solver's own orderly exit and must never quarantine.
-		defer func() {
-			if r := recover(); r != nil {
-				if ce, ok := obs.Canceled(r); ok {
-					err = ce
-					return
-				}
-				s.quarantine(e)
-				err = fmt.Errorf("%w: solving: %v", ErrInternal, r)
-			}
-		}()
-		if ferr := s.cfg.Faults.Fire(q.ctx, faultinject.SiteSolve); ferr != nil {
-			return nil, ferr
-		}
-		// The checkpoint is attached for exactly this answer and
-		// detached before the entry lock releases; hits count into the
-		// cancel-checkpoint metric — the proof a dead request actually
-		// stopped the solver.
-		cc := obs.NewCancelCheck(q.ctx, s.m.cancelHits)
-		e.be.setCancel(cc)
-		defer e.be.setCancel(nil)
-		start := time.Now()
-		sol, err = e.be.answer(q)
-		solveNs = time.Since(start).Nanoseconds()
-		if err == nil {
-			s.cm.observe(q.key.kind, false, solveNs)
-		}
-		// The entry's cost delta — still under e.mu, so the
-		// read-modify-write of the last read points is exclusive.
-		snap := e.trace.Snapshot()
-		phaseDelta = snap.Sub(e.lastSnap)
-		e.lastSnap = snap
-		pst := e.be.probeStats()
-		cost = &Cost{
-			Probes:      pst.Probes - e.lastStats.Probes,
-			PackProbes:  pst.PackProbes - e.lastStats.PackProbes,
-			RewindHits:  pst.RewindHits - e.lastStats.RewindHits,
-			Constructed: pst.Constructed - e.lastStats.Constructed,
-			PhaseNs:     phaseDelta.Map(),
-		}
-		e.lastStats = pst
-		if err == nil && memoable {
-			if e.memo == nil {
-				e.memo = make(map[memoKey]memoVal)
-			} else if len(e.memo) >= memoCap {
-				clear(e.memo)
-			}
-			e.memo[memoK] = memoVal{tasks: sol.tasks, makespan: sol.makespan}
-		}
-		return sol, err
 	}()
+	if err := s.cfg.Faults.Fire(q.ctx, faultinject.SiteSolve); err != nil {
+		return nil, err
+	}
+	// The checkpoint is attached for exactly this answer and detached
+	// before the entry lock releases; hits count into the
+	// cancel-checkpoint metric — the proof a dead request actually
+	// stopped the solver.
+	e.be.SetCancel(obs.NewCancelCheck(q.ctx, s.m.cancelHits))
+	defer e.be.SetCancel(nil)
+	start := time.Now()
+	sol, err = e.be.answer(q)
+	solveNs := time.Since(start).Nanoseconds()
+	// The entry's cost delta — still under e.mu, so the read-modify-write
+	// of the last read points is exclusive, and taken on failures too.
+	snap, pst := e.trace.Snapshot(), e.be.Stats()
+	phases := snap.Sub(e.lastSnap)
+	cost := &Cost{
+		Probes:      pst.Probes - e.lastStats.Probes,
+		PackProbes:  pst.PackProbes - e.lastStats.PackProbes,
+		RewindHits:  pst.RewindHits - e.lastStats.RewindHits,
+		Constructed: pst.Constructed - e.lastStats.Constructed,
+		PhaseNs:     phases.Map(),
+	}
+	e.lastSnap, e.lastStats = snap, pst
 	if err != nil {
 		return nil, err
 	}
-	kind := q.key.kind
-	if memoHit {
-		s.m.memoHits.Inc()
-	} else {
-		s.m.solveHist(kind, q.req.Op, cache).Observe(solveNs)
-		for _, p := range obs.Phases() {
-			if ns := phaseDelta.Ns[p]; ns > 0 {
-				s.m.phaseCounter(kind, p).Add(ns)
-			}
+	s.cm.observe(q.key.kind, false, solveNs)
+	sol.solveNs, sol.cost, sol.phases = solveNs, cost, phases
+	if memoable {
+		if e.memo == nil {
+			e.memo = make(map[memoKey]memoVal)
+		} else if len(e.memo) >= memoCap {
+			clear(e.memo)
 		}
+		e.memo[memoK] = memoVal{tasks: sol.tasks, makespan: sol.makespan}
 	}
-	resp, err := s.respond(q, sol, cache, solveNs)
-	if err != nil {
-		return nil, err
-	}
-	resp.Meta.Memo = memoHit
-	resp.Meta.Cost = cost
-	if s.cfg.SlowQuery > 0 && time.Duration(solveNs) >= s.cfg.SlowQuery {
-		s.m.slowQueries.Inc()
-		s.logSlow(q, resp)
-	}
-	return resp, nil
+	return sol, nil
 }
 
 // logSlow writes one slow-query line. Every number repeats the
@@ -675,7 +679,7 @@ func (s *Service) quarantine(e *entry) {
 // construct builds the warmed solver for the query's platform under a
 // cold-class admission slot and inserts it into the LRU, evicting
 // beyond capacity. Constructions are serialised per cache key by the
-// building map, so the insert never races another construction of the
+// builds group, so the insert never races another construction of the
 // same key. Panics out of the solver constructors are converted to
 // errors here — and counted as quarantines: the build is poisoned
 // exactly like a panicking solve, it just was never cached — so the
@@ -720,7 +724,7 @@ func (s *Service) construct(q *query) (e *entry, err error) {
 	// construction, with the seeded legs on their own counter.
 	rehydrated := false
 	if s.cfg.PlanCache != nil {
-		res := be.rehydrate(s.planLookup)
+		res := be.Rehydrate(s.planLookup)
 		if res.Hydrated > 0 {
 			s.m.rehydratedLegs.Add(int64(res.Hydrated))
 		}
@@ -734,12 +738,12 @@ func (s *Service) construct(q *query) (e *entry, err error) {
 	// Attaching right after construction flushes the build-time set-up
 	// (leg dedup, tree cover) into the trace, so the first solve's cost
 	// block carries the construction it paid for.
-	be.setTrace(e.trace)
+	be.SetTrace(e.trace)
 	// Rehydrated placements were not built by the first query — baseline
 	// the entry's cost telemetry past them so its cost block reports
 	// only work it actually ran.
 	if rehydrated {
-		e.lastStats = be.probeStats()
+		e.lastStats = be.Stats()
 	}
 	s.mu.Lock()
 	if rehydrated {
@@ -800,7 +804,7 @@ func (s *Service) spill(e *entry) (legs int) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	exports := e.be.exportPlans()
+	exports := e.be.ExportPlans()
 	if len(exports) == 0 {
 		return 0
 	}
@@ -841,12 +845,18 @@ func (s *Service) Snapshot() (entries, legs int) {
 	return entries, legs
 }
 
-// solved is the raw answer of one solve, before wire encoding.
+// solved is one answered query before wire encoding: the backend's
+// raw answer, plus what the answer stage measured of it.
 type solved struct {
 	tasks       int
 	makespan    platform.Time
 	chainSched  *sched.ChainSchedule
 	spiderSched *sched.SpiderSchedule
+
+	memo    bool  // from the entry's memo: nothing ran
+	solveNs int64 // the solve's wall time; 0 for memo hits
+	cost    *Cost
+	phases  obs.PhaseSnapshot // the solve's per-phase delta
 }
 
 // remapLegs rewrites a schedule produced on the cached spider (first-
@@ -859,7 +869,7 @@ type solved struct {
 func remapLegs(sch *sched.SpiderSchedule, from, to platform.Spider) error {
 	identity := len(from.Legs) == len(to.Legs)
 	for i := 0; identity && i < len(from.Legs); i++ {
-		identity = chainsEqual(from.Legs[i], to.Legs[i])
+		identity = slices.Equal(from.Legs[i].Nodes, to.Legs[i].Nodes)
 	}
 	if identity {
 		sch.Spider = to
@@ -870,7 +880,7 @@ func remapLegs(sch *sched.SpiderSchedule, from, to platform.Spider) error {
 	for i, leg := range from.Legs {
 		perm[i] = -1
 		for j, cand := range to.Legs {
-			if !used[j] && chainsEqual(leg, cand) {
+			if !used[j] && slices.Equal(leg.Nodes, cand.Nodes) {
 				perm[i], used[j] = j, true
 				break
 			}
@@ -886,20 +896,21 @@ func remapLegs(sch *sched.SpiderSchedule, from, to platform.Spider) error {
 	return nil
 }
 
-func chainsEqual(a, b platform.Chain) bool {
-	if len(a.Nodes) != len(b.Nodes) {
-		return false
-	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			return false
+// respond is the leader's last stage: it counts the answer's metrics
+// (a memo hit, or the solve's latency and phase time), encodes it onto
+// the wire and writes the slow-query log.
+func (s *Service) respond(q *query, sol *solved, cache string) (*Response, error) {
+	kind := q.key.kind
+	if sol.memo {
+		s.m.memoHits.Inc()
+	} else {
+		s.m.solveHist(kind, q.req.Op, cache).Observe(sol.solveNs)
+		for _, p := range obs.Phases() {
+			if ns := sol.phases.Ns[p]; ns > 0 {
+				s.m.phaseCounter(kind, p).Add(ns)
+			}
 		}
 	}
-	return true
-}
-
-// respond encodes the solved answer onto the wire.
-func (s *Service) respond(q *query, sol *solved, cache string, solveNs int64) (*Response, error) {
 	resp := &Response{
 		Op:       q.req.Op,
 		N:        q.req.N,
@@ -908,7 +919,9 @@ func (s *Service) respond(q *query, sol *solved, cache string, solveNs int64) (*
 		Meta: Meta{
 			PlatformHash: q.key.hash.String(),
 			Cache:        cache,
-			SolveNs:      solveNs,
+			Memo:         sol.memo,
+			SolveNs:      sol.solveNs,
+			Cost:         sol.cost,
 		},
 	}
 	if q.req.Op.needsDeadline() {
@@ -926,6 +939,10 @@ func (s *Service) respond(q *query, sol *solved, cache string, solveNs int64) (*
 			return nil, err
 		}
 		resp.Schedule = buf.Bytes()
+	}
+	if s.cfg.SlowQuery > 0 && time.Duration(sol.solveNs) >= s.cfg.SlowQuery {
+		s.m.slowQueries.Inc()
+		s.logSlow(q, resp)
 	}
 	return resp, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -249,7 +250,7 @@ func TestIsomorphicSpidersShareEntry(t *testing.T) {
 		t.Fatalf("schedule not expressed on the requested spider")
 	}
 	for b, leg := range dec.Spider.Spider.Legs {
-		if !chainsEqual(leg, perm.Legs[b]) {
+		if !slices.Equal(leg.Nodes, perm.Legs[b].Nodes) {
 			t.Fatalf("schedule leg %d does not match the requested order", b)
 		}
 	}
