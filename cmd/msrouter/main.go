@@ -1,7 +1,7 @@
 // Command msrouter fronts a fleet of msserve shards with one HTTP
 // surface: it forwards each /solve to the shard owning the platform's
-// canonical fingerprint on a consistent-hash ring, merges the fleet's
-// /metrics, and reports fleet-wide health.
+// canonical fingerprint on a consistent-hash ring, serves the fleet's
+// /metrics labelled per shard, and reports fleet-wide health.
 //
 // Usage:
 //
@@ -15,12 +15,12 @@
 //	                it); transport errors fail over clockwise around
 //	                the ring, application errors (429 included) travel
 //	                back untouched
-//	GET  /metrics — the fleet's expositions merged (same-name samples
-//	                summed) plus the router's forward/failover counters
+//	GET  /metrics — every shard's series with a shard="<member>" label
+//	                (never summed; fleet totals are sum without (shard))
+//	                plus the router's forward/failover counters
 //	GET  /healthz — 200 iff every shard's readiness probe is 200, with
 //	                per-shard detail
-//	GET  /stats   — per-shard stats side by side plus a summed fleet
-//	                block
+//	GET  /stats   — per-shard stats side by side, nothing summed
 //	GET  /shards  — the shard map (members + vnodes) for clients that
 //	                route themselves (client.WithShards)
 //

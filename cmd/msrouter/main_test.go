@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -39,7 +40,8 @@ func startRouter(t *testing.T, shards ...string) (string, context.CancelFunc, ch
 
 // TestRouterDaemonEndToEnd: two real shards behind the daemon — solves
 // route by ring ownership, repeats hit the owning shard's warm solver,
-// the merged metrics and fleet health answer, and shutdown drains.
+// the per-shard fleet metrics and fleet health answer, and shutdown
+// drains.
 func TestRouterDaemonEndToEnd(t *testing.T) {
 	svcA := service.New(service.Config{})
 	shardA := httptest.NewServer(svcA.Handler())
@@ -89,15 +91,17 @@ func TestRouterDaemonEndToEnd(t *testing.T) {
 		t.Errorf("shard B stats %+v, want exactly 1 miss", st)
 	}
 
-	// Fleet metrics: constructions sum across shards, router counters
-	// ride along.
+	// Fleet metrics: each shard's one construction under its own shard
+	// label, nothing summed; router counters ride along.
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := readAll(resp)
-	if !strings.Contains(body, "repro_service_constructions_total 2") {
-		t.Errorf("merged metrics missing summed constructions:\n%s", keep(body, "constructions"))
+	for _, shard := range []string{shardA.URL, shardB.URL} {
+		if line := fmt.Sprintf("repro_service_constructions_total{shard=%q} 1", shard); !strings.Contains(body, line) {
+			t.Errorf("fleet metrics missing %s:\n%s", line, keep(body, "constructions"))
+		}
 	}
 	if !strings.Contains(body, "repro_router_forwards_total") {
 		t.Error("merged metrics missing the router's own counters")

@@ -1,7 +1,8 @@
 // Package cluster is the distributed service tier: a consistent-hash
-// ring that assigns canonical platform fingerprints to shards, and a
-// router that fronts a fleet of msserve shards with a single /solve,
-// /metrics and /healthz surface.
+// ring that assigns canonical platform fingerprints to shards, the
+// shard map that routers and routing clients share, and a router that
+// fronts a fleet of msserve shards with a single /solve, /metrics and
+// /healthz surface.
 //
 // # Placement
 //
@@ -46,9 +47,8 @@ type point struct {
 }
 
 // Ring is a consistent-hash ring over platform fingerprints. The zero
-// value is not usable; construct with NewRing. Methods are not safe for
-// concurrent mutation — guard Add/Remove externally or treat a built
-// ring as immutable (the router copies on change).
+// value is not usable; construct with NewRing. Add is not safe for
+// concurrent use; once built, a ring is read-only and safe to share.
 type Ring struct {
 	vnodes  int
 	points  []point
@@ -112,23 +112,6 @@ func (r *Ring) Add(member string) error {
 		}
 		return r.points[i].member < r.points[j].member
 	})
-	return nil
-}
-
-// Remove takes a member off the ring; removing an absent member is an
-// error for the same reason Add rejects duplicates.
-func (r *Ring) Remove(member string) error {
-	if !r.members[member] {
-		return fmt.Errorf("cluster: member %q not on the ring", member)
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
 	return nil
 }
 

@@ -140,13 +140,15 @@ func TestJoinMovesOnlyTheArc(t *testing.T) {
 	}
 }
 
-// TestLeaveMovesOnlyTheArc: removing a member reassigns exactly the
-// keys it owned; every other key keeps its owner.
+// TestLeaveMovesOnlyTheArc: dropping a member reassigns exactly the
+// keys it owned; every other key keeps its owner. Placement is a pure
+// function of the member list, so the smaller fleet is just a ring
+// built from the list without the leaver.
 func TestLeaveMovesOnlyTheArc(t *testing.T) {
 	const m, k = 6, 20000
 	keys := sampleHashes(k)
-	r := NewRing(64)
 	members := fleet(m)
+	r := NewRing(64)
 	mustAdd(t, r, members...)
 	owners := make([]string, k)
 	for i, h := range keys {
@@ -154,12 +156,11 @@ func TestLeaveMovesOnlyTheArc(t *testing.T) {
 	}
 
 	leaver := members[2]
-	if err := r.Remove(leaver); err != nil {
-		t.Fatal(err)
-	}
+	after := NewRing(64)
+	mustAdd(t, after, append(append([]string(nil), members[:2]...), members[3:]...)...)
 	moved := 0
 	for i, h := range keys {
-		got := r.Owner(h)
+		got := after.Owner(h)
 		if owners[i] == leaver {
 			moved++
 			if got == leaver {
@@ -225,8 +226,12 @@ func TestBalance(t *testing.T) {
 	}
 }
 
-// TestMembershipErrors: duplicate adds and absent removes fail loudly.
+// TestMembershipErrors: duplicate and empty-name adds fail loudly, and
+// an empty ring owns nothing.
 func TestMembershipErrors(t *testing.T) {
+	if got := NewRing(8).Owner(platform.Hash{}); got != "" {
+		t.Errorf("empty ring owner = %q, want empty", got)
+	}
 	r := NewRing(8)
 	mustAdd(t, r, "a:1")
 	if err := r.Add("a:1"); err == nil {
@@ -234,14 +239,5 @@ func TestMembershipErrors(t *testing.T) {
 	}
 	if err := r.Add(""); err == nil {
 		t.Error("empty-name Add succeeded")
-	}
-	if err := r.Remove("b:2"); err == nil {
-		t.Error("absent Remove succeeded")
-	}
-	if err := r.Remove("a:1"); err != nil {
-		t.Error(err)
-	}
-	if got := r.Owner(platform.Hash{}); got != "" {
-		t.Errorf("empty ring owner = %q, want empty", got)
 	}
 }

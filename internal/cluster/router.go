@@ -6,12 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/platform"
 )
 
 // routerMaxBody bounds the /solve bodies the router will buffer; it
@@ -25,13 +22,13 @@ const routerMaxBody = 16 << 20
 //	                fingerprint on the consistent-hash ring; transport
 //	                errors fail over to the next member clockwise. The
 //	                answering shard is named in X-Ms-Shard.
-//	GET  /metrics — the fleet's expositions merged: samples with the
-//	                same name and labels are summed, plus the router's
-//	                own forward/failover counters.
+//	GET  /metrics — every shard's exposition with a shard="<member>"
+//	                label on each sample, never summed across shards,
+//	                plus the router's own forward/failover counters.
 //	GET  /healthz — 200 iff every shard's readiness probe is 200, with
 //	                per-shard detail either way.
-//	GET  /stats   — per-shard /stats bodies side by side, with the
-//	                numeric fields summed into a fleet block.
+//	GET  /stats   — per-shard /stats bodies side by side; fleet totals
+//	                come from /metrics as sum without (shard).
 //	GET  /shards  — the shard map (members + vnode count), so clients
 //	                can build the identical ring and route locally.
 //
@@ -40,9 +37,8 @@ const routerMaxBody = 16 << 20
 // client's retry layer decides whether to redirect to a sibling — the
 // router only reroutes when the owner cannot answer at all.
 type Router struct {
-	ring    *Ring
-	baseURL map[string]string
-	client  *http.Client
+	shards *ShardMap
+	client *http.Client
 
 	reg       *obs.Registry
 	forwards  map[string]*obs.Counter
@@ -63,9 +59,12 @@ func NewRouter(shards []string, vnodes int, client *http.Client) (*Router, error
 	if client == nil {
 		client = http.DefaultClient
 	}
+	m, err := NewShardMap(shards, vnodes)
+	if err != nil {
+		return nil, err
+	}
 	r := &Router{
-		ring:     NewRing(vnodes),
-		baseURL:  make(map[string]string, len(shards)),
+		shards:   m,
 		client:   client,
 		reg:      obs.NewRegistry(),
 		forwards: make(map[string]*obs.Counter, len(shards)),
@@ -76,14 +75,6 @@ func NewRouter(shards []string, vnodes int, client *http.Client) (*Router, error
 	r.rejected = r.reg.Counter("repro_router_rejected_total",
 		"solve requests the router could not route (malformed body, no shard reachable)")
 	for _, s := range shards {
-		if err := r.ring.Add(s); err != nil {
-			return nil, err
-		}
-		base := s
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		r.baseURL[s] = strings.TrimSuffix(base, "/")
 		r.forwards[s] = r.reg.Counter("repro_router_forwards_total",
 			"solves forwarded, by answering shard", "shard", s)
 		r.errors[s] = r.reg.Counter("repro_router_forward_errors_total",
@@ -93,7 +84,7 @@ func NewRouter(shards []string, vnodes int, client *http.Client) (*Router, error
 }
 
 // Ring exposes the router's ring (read-only use).
-func (rt *Router) Ring() *Ring { return rt.ring }
+func (rt *Router) Ring() *Ring { return rt.shards.Ring() }
 
 // Handler returns the router's HTTP surface.
 func (rt *Router) Handler() http.Handler {
@@ -135,19 +126,17 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "solve request carries no platform envelope")
 		return
 	}
-	dec, err := platform.Read(bytes.NewReader(env.Platform))
+	// The full ring order is the failover sequence; the owner leads.
+	targets, err := rt.shards.Route(env.Platform)
 	if err != nil {
 		rt.rejected.Inc()
 		writeError(w, http.StatusBadRequest, "decoding platform: "+err.Error())
 		return
 	}
-
-	// The full ring order is the failover sequence; the owner leads.
-	targets := rt.ring.Owners(dec.Hash(), rt.ring.Len())
 	var lastErr error
 	for i, shard := range targets {
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-			rt.baseURL[shard]+"/solve", bytes.NewReader(body))
+			rt.shards.Base(shard)+"/solve", bytes.NewReader(body))
 		if err != nil {
 			rt.rejected.Inc()
 			writeError(w, http.StatusInternalServerError, err.Error())
@@ -194,7 +183,7 @@ type shardReply struct {
 }
 
 func (rt *Router) shardGet(r *http.Request, path string) map[string]shardReply {
-	members := rt.ring.Members()
+	members := rt.Ring().Members()
 	out := make(map[string]shardReply, len(members))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -203,7 +192,7 @@ func (rt *Router) shardGet(r *http.Request, path string) map[string]shardReply {
 		go func(shard string) {
 			defer wg.Done()
 			var reply shardReply
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, rt.baseURL[shard]+path, nil)
+			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, rt.shards.Base(shard)+path, nil)
 			if err == nil {
 				var resp *http.Response
 				if resp, err = rt.client.Do(req); err == nil {
@@ -222,150 +211,44 @@ func (rt *Router) shardGet(r *http.Request, path string) map[string]shardReply {
 	return out
 }
 
-// handleMetrics merges the fleet's expositions: samples sharing a name
-// and label set are summed — counters add, gauges add (entries,
-// in-flight and queue depths are fleet totals), histogram buckets add
-// bucket-wise because every shard emits identical bucket bounds. The
-// router's own counters ride along under their distinct names.
+// handleMetrics serves the fleet exposition: the router's own series
+// as they are, then every live shard's series with a shard="<member>"
+// label added. Nothing is summed, so gauges like uptime stay
+// meaningful, a shard restart resets only its own counters, and
+// histograms need not share bucket bounds; fleet totals are a
+// sum without (shard) away. A shard whose exposition does not parse, or
+// that declares a family with another TYPE than an earlier source, is
+// named in a 502.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET the metrics")
 		return
 	}
-	merged := newMetricMerge()
 	var own bytes.Buffer
-	if err := rt.reg.WritePrometheus(&own); err == nil {
-		_ = merged.add(&own) // own registry output is well-formed by construction
+	_ = rt.reg.WritePrometheus(&own)
+	fleet, err := obs.ParseExposition(&own)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "router exposition: "+err.Error())
+		return
 	}
-	for shard, reply := range rt.shardGet(r, "/metrics") {
+	replies := rt.shardGet(r, "/metrics")
+	for _, shard := range rt.Ring().Members() {
+		reply := replies[shard]
 		if reply.err != nil || reply.status != http.StatusOK {
 			continue // the shard is down; /healthz is the place that says so
 		}
-		if err := merged.add(bytes.NewReader(reply.body)); err != nil {
-			writeError(w, http.StatusBadGateway,
-				fmt.Sprintf("shard %s exposition: %v", shard, err))
+		e, err := obs.ParseExposition(bytes.NewReader(reply.body))
+		if err == nil {
+			err = fleet.Relabel(e, "shard", shard)
+		}
+		if err != nil {
+			writeError(w, http.StatusBadGateway, fmt.Sprintf("shard %s exposition: %v", shard, err))
 			return
 		}
 	}
 	w.Header().Set("Content-Type", obs.ExpositionContentType)
-	merged.render(w)
-}
+	_ = fleet.WriteText(w) // a failed write means the scraper hung up
 
-// metricMerge accumulates parsed expositions, summing samples by
-// (name, labels) and preserving first-seen order so histogram series
-// stay contiguous and correctly ordered.
-type metricMerge struct {
-	order   []string
-	samples map[string]*obs.Sample
-	types   map[string]string
-	// famOrder remembers family first-appearance for stable TYPE blocks.
-	famOrder []string
-	famSeen  map[string]bool
-}
-
-func newMetricMerge() *metricMerge {
-	return &metricMerge{
-		samples: make(map[string]*obs.Sample),
-		types:   make(map[string]string),
-		famSeen: make(map[string]bool),
-	}
-}
-
-// sampleKey is the identity samples are summed under.
-func sampleKey(s obs.Sample) string {
-	keys := make([]string, 0, len(s.Labels))
-	for k := range s.Labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	sb.WriteString(s.Name)
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "|%s=%s", k, s.Labels[k])
-	}
-	return sb.String()
-}
-
-// family maps a sample name to its TYPE-declared family, unwrapping
-// histogram expansion suffixes.
-func (m *metricMerge) family(name string) string {
-	if _, ok := m.types[name]; ok {
-		return name
-	}
-	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-		if base, ok := strings.CutSuffix(name, suffix); ok && m.types[base] == "histogram" {
-			return base
-		}
-	}
-	return name
-}
-
-func (m *metricMerge) add(r io.Reader) error {
-	e, err := obs.ParseExposition(r)
-	if err != nil {
-		return err
-	}
-	for name, typ := range e.Types {
-		if m.types[name] == "" {
-			m.types[name] = typ
-		}
-	}
-	for _, s := range e.Samples {
-		key := sampleKey(s)
-		if have, ok := m.samples[key]; ok {
-			have.Value += s.Value
-			continue
-		}
-		cp := s
-		m.order = append(m.order, key)
-		m.samples[key] = &cp
-		if fam := m.family(s.Name); !m.famSeen[fam] {
-			m.famSeen[fam] = true
-			m.famOrder = append(m.famOrder, fam)
-		}
-	}
-	return nil
-}
-
-func (m *metricMerge) render(w io.Writer) {
-	// Group sample keys per family, preserving in-family order.
-	byFam := make(map[string][]string, len(m.famOrder))
-	for _, key := range m.order {
-		fam := m.family(m.samples[key].Name)
-		byFam[fam] = append(byFam[fam], key)
-	}
-	for _, fam := range m.famOrder {
-		if typ := m.types[fam]; typ != "" {
-			fmt.Fprintf(w, "# TYPE %s %s\n", fam, typ)
-		}
-		for _, key := range byFam[fam] {
-			s := m.samples[key]
-			if len(s.Labels) == 0 {
-				fmt.Fprintf(w, "%s %s\n", s.Name, formatValue(s.Value))
-				continue
-			}
-			keys := make([]string, 0, len(s.Labels))
-			for k := range s.Labels {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			var sb strings.Builder
-			for i, k := range keys {
-				if i > 0 {
-					sb.WriteByte(',')
-				}
-				fmt.Fprintf(&sb, "%s=%q", k, s.Labels[k])
-			}
-			fmt.Fprintf(w, "%s{%s} %s\n", s.Name, sb.String(), formatValue(s.Value))
-		}
-	}
-}
-
-func formatValue(v float64) string {
-	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
 }
 
 // fleetHealth is the router's /healthz body: overall status plus one
@@ -409,36 +292,25 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(h)
 }
 
-// handleStats returns every shard's /stats body side by side plus a
-// fleet block summing the numeric fields — counter totals across the
-// fleet (averages like uptime_seconds are summed too; read per-shard
-// for those).
+// handleStats returns every shard's /stats body side by side (null
+// for a shard that did not answer). It sums nothing: fleet totals come
+// from /metrics as sum without (shard).
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET the stats")
 		return
 	}
-	fleet := map[string]float64{}
 	shards := map[string]json.RawMessage{}
 	for shard, reply := range rt.shardGet(r, "/stats") {
-		if reply.err != nil || reply.status != http.StatusOK {
-			shards[shard] = json.RawMessage(`null`)
-			continue
-		}
-		shards[shard] = json.RawMessage(reply.body)
-		var fields map[string]any
-		if err := json.Unmarshal(reply.body, &fields); err == nil {
-			for k, v := range fields {
-				if f, ok := v.(float64); ok {
-					fleet[k] += f
-				}
-			}
+		shards[shard] = json.RawMessage(`null`)
+		if reply.err == nil && reply.status == http.StatusOK {
+			shards[shard] = json.RawMessage(reply.body)
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(map[string]any{"fleet": fleet, "shards": shards})
+	_ = enc.Encode(map[string]any{"shards": shards})
 }
 
 // ShardMapBody is the GET /shards payload: everything a client needs
@@ -456,5 +328,5 @@ func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(ShardMapBody{Vnodes: rt.ring.Vnodes(), Shards: rt.ring.Members()})
+	_ = enc.Encode(ShardMapBody{Vnodes: rt.Ring().Vnodes(), Shards: rt.Ring().Members()})
 }

@@ -118,7 +118,8 @@ func TestRouterForwardsToOwner(t *testing.T) {
 
 // TestRouterFailover: when the owning shard is unreachable the router
 // reroutes to the ring successor and counts the failover; the query
-// still answers 200.
+// still answers 200. The fleet exposition leaves the down shard out
+// and keeps the live shard's and the router's own series.
 func TestRouterFailover(t *testing.T) {
 	a := newShard(t, service.Config{})
 	// A dead shard: take a real listener's address, then close it so
@@ -148,24 +149,52 @@ func TestRouterFailover(t *testing.T) {
 		map[string]string{"shard": deadURL}); err != nil || v != 1 {
 		t.Errorf("forward_errors_total{dead} = %v (err %v), want 1", v, err)
 	}
+	for _, s := range expo.Samples {
+		if s.Labels["shard"] == deadURL && !strings.HasPrefix(s.Name, "repro_router_") {
+			t.Fatalf("down shard contributed %s%v", s.Name, s.Labels)
+		}
+	}
+	if v, err := expo.Value("repro_service_constructions_total",
+		map[string]string{"shard": a.ts.URL}); err != nil || v != 1 {
+		t.Errorf("live shard's constructions_total = %v (err %v), want 1", v, err)
+	}
 }
 
+// routerMetrics scrapes the router's /metrics and checks the text
+// itself: it parses (so no family has two TYPE lines), and each
+// family's samples sit contiguously under its TYPE line.
 func routerMetrics(t *testing.T, url string) *obs.Exposition {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	expo, err := obs.ParseExposition(resp.Body)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if err != nil {
-		t.Fatalf("merged exposition does not parse: %v", err)
+		t.Fatal(err)
+	}
+	expo, err := obs.ParseExposition(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("fleet exposition does not parse: %v", err)
+	}
+	fam := ""
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			fam, _, _ = strings.Cut(f, " ")
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		if rest, ok := strings.CutPrefix(name, fam); !ok || (rest != "" && expo.Types[fam] != "histogram") {
+			t.Fatalf("sample %q outside its family block (under %q)", line, fam)
+		}
 	}
 	return expo
 }
 
-// TestRouterMergedMetrics: the fleet /metrics sums same-name samples
-// across shards and stays a well-formed exposition.
+// TestRouterMergedMetrics: the fleet /metrics keeps every shard's
+// series apart under a shard label — nothing is summed — and passes
+// the router's own series through unlabelled.
 func TestRouterMergedMetrics(t *testing.T) {
 	a := newShard(t, service.Config{})
 	b := newShard(t, service.Config{})
@@ -179,17 +208,69 @@ func TestRouterMergedMetrics(t *testing.T) {
 	postSolve(t, router.URL, solveBody(t, spB, 25)).Body.Close()
 
 	expo := routerMetrics(t, router.URL)
-	if v, err := expo.Value("repro_service_constructions_total", nil); err != nil || v != 2 {
-		t.Errorf("fleet constructions_total = %v (err %v), want 2 (one per shard)", v, err)
+	members := map[string]bool{a.ts.URL: true, b.ts.URL: true}
+	for _, s := range expo.Samples {
+		if strings.HasPrefix(s.Name, "repro_router_") {
+			continue
+		}
+		if !members[s.Labels["shard"]] {
+			t.Fatalf("shard sample %s%v lacks a shard label naming a member", s.Name, s.Labels)
+		}
 	}
-	if v, err := expo.Value("repro_router_forwards_total",
-		map[string]string{"shard": a.ts.URL}); err != nil || v != 1 {
-		t.Errorf("forwards_total{a} = %v (err %v), want 1", v, err)
+	if up := expo.Find("repro_service_uptime_seconds"); len(up) != 2 {
+		t.Errorf("%d uptime samples, want one per shard: %v", len(up), up)
+	}
+	for _, shard := range []string{a.ts.URL, b.ts.URL} {
+		if v, err := expo.Value("repro_service_constructions_total",
+			map[string]string{"shard": shard}); err != nil || v != 1 {
+			t.Errorf("constructions_total{shard=%s} = %v (err %v), want 1", shard, v, err)
+		}
+		if v, err := expo.Value("repro_router_forwards_total",
+			map[string]string{"shard": shard}); err != nil || v != 1 {
+			t.Errorf("forwards_total{shard=%s} = %v (err %v), want 1", shard, v, err)
+		}
+	}
+	for _, name := range []string{"repro_router_failovers_total", "repro_router_rejected_total"} {
+		if s := expo.Find(name); len(s) != 1 || len(s[0].Labels) != 0 {
+			t.Errorf("router's own %s = %v, want one unlabelled sample", name, s)
+		}
+	}
+}
+
+// TestRouterMetricsBadShard: a shard whose exposition does not parse,
+// or that declares a family with another TYPE than an earlier source
+// (here the router's own counter), fails the scrape with a 502 naming
+// that shard.
+func TestRouterMetricsBadShard(t *testing.T) {
+	for name, expo := range map[string]string{
+		"malformed":     "# TYPE x counter\nx{a=\"unterminated} 1\n",
+		"type conflict": "# TYPE repro_router_failovers_total gauge\nrepro_router_failovers_total 3\n",
+	} {
+		expo := expo
+		bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", obs.ExpositionContentType)
+			io.WriteString(w, expo)
+		}))
+		a := newShard(t, service.Config{})
+		rt := newTestRouter(t, a.ts.URL, bad.URL)
+		router := httptest.NewServer(rt.Handler())
+		resp, err := http.Get(router.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(body), bad.URL) {
+			t.Errorf("%s: status %d body %s, want 502 naming %s", name, resp.StatusCode, body, bad.URL)
+		}
+		router.Close()
+		bad.Close()
 	}
 }
 
 // TestRouterHealthAndStats: fleet health is the conjunction of shard
-// health, and fleet stats sum the numeric fields.
+// health, and fleet stats set each shard's own body side by side with
+// no summed block.
 func TestRouterHealthAndStats(t *testing.T) {
 	a := newShard(t, service.Config{})
 	b := newShard(t, service.Config{})
@@ -225,26 +306,25 @@ func TestRouterHealthAndStats(t *testing.T) {
 	}
 	a.svc.SetDraining(false)
 
-	// One solve per shard, then the fleet miss count is 2.
+	// One solve per shard, then each shard's body shows its one miss.
 	postSolve(t, router.URL, solveBody(t, spiderOwnedBy(t, rt.Ring(), a.ts.URL), 20)).Body.Close()
 	postSolve(t, router.URL, solveBody(t, spiderOwnedBy(t, rt.Ring(), b.ts.URL), 20)).Body.Close()
 	resp, err = http.Get(router.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats struct {
-		Fleet  map[string]float64         `json:"fleet"`
-		Shards map[string]json.RawMessage `json:"shards"`
-	}
+	var stats map[string]map[string]service.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if stats.Fleet["misses"] != 2 {
-		t.Errorf("fleet misses = %v, want 2", stats.Fleet["misses"])
+	if len(stats) != 1 || len(stats["shards"]) != 2 {
+		t.Fatalf("stats body %+v, want only a shards block with 2 shards", stats)
 	}
-	if len(stats.Shards) != 2 {
-		t.Errorf("stats carries %d shards, want 2", len(stats.Shards))
+	for shard, st := range stats["shards"] {
+		if st.Misses != 1 {
+			t.Errorf("shard %s misses = %d, want 1", shard, st.Misses)
+		}
 	}
 }
 

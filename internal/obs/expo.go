@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -142,4 +144,71 @@ func escapeHelp(h string) string {
 	h = strings.ReplaceAll(h, `\`, `\\`)
 	h = strings.ReplaceAll(h, "\n", `\n`)
 	return h
+}
+
+// Relabel appends src's samples to e, each carrying one more label
+// name=value (replacing any label of that name src already set), and
+// adopts src's TYPE declarations. It is how a fleet exposition keeps
+// each source's series apart instead of summing them. A family src
+// declares with a different TYPE than e already holds is an error; src
+// is consumed (its label maps are reused).
+func (e *Exposition) Relabel(src *Exposition, name, value string) error {
+	for fam, typ := range src.Types {
+		if have, ok := e.Types[fam]; ok && have != typ {
+			return fmt.Errorf("obs: family %s declared %s, but an earlier source declared it %s", fam, typ, have)
+		}
+		e.Types[fam] = typ
+	}
+	for _, s := range src.Samples {
+		s.Labels[name] = value
+		e.Samples = append(e.Samples, s)
+	}
+	return nil
+}
+
+// WriteText renders a parsed exposition in the text format: families
+// sorted by name, one TYPE line each, followed by that family's
+// samples contiguous and in their parsed order, labels sorted.
+func (e *Exposition) WriteText(w io.Writer) error {
+	byFam := make(map[string][]Sample, len(e.Types))
+	fams := make([]string, 0, len(e.Types))
+	for fam := range e.Types {
+		fams = append(fams, fam)
+	}
+	sort.Strings(fams)
+	for _, s := range e.Samples {
+		fam := familyOf(s.Name, e.Types)
+		byFam[fam] = append(byFam[fam], s)
+	}
+	bw := bufio.NewWriter(w)
+	for _, fam := range fams {
+		fmt.Fprintf(bw, "# TYPE %s %s\n", fam, e.Types[fam])
+		for _, s := range byFam[fam] {
+			keys := make([]string, 0, len(s.Labels))
+			for k := range s.Labels {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			var ls strings.Builder
+			for i, k := range keys {
+				if i > 0 {
+					ls.WriteByte(',')
+				}
+				fmt.Fprintf(&ls, `%s="%s"`, k, escapeLabel(s.Labels[k]))
+			}
+			fmt.Fprintf(bw, "%s%s %s\n", s.Name, braced(ls.String()), formatValue(s.Value))
+		}
+	}
+	return bw.Flush()
+}
+
+// formatValue renders a sample value so ParseExposition reads back the
+// same float: integral values below 1e15 (every counter and gauge the
+// registry writes) in plain digits, everything else — fractions, huge
+// magnitudes, ±Inf, NaN — in the shortest 'g' form.
+func formatValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.FormatFloat(v, 'f', -1, 64)
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }

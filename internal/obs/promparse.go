@@ -165,9 +165,6 @@ func parseSampleLine(line string) (Sample, error) {
 	// so reject trailing fields outright.
 	v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
 	if err != nil {
-		if strings.TrimSpace(rest) == "+Inf" || strings.TrimSpace(rest) == "-Inf" || strings.TrimSpace(rest) == "NaN" {
-			return s, nil
-		}
 		return s, fmt.Errorf("bad value in %q: %v", line, err)
 	}
 	s.Value = v

@@ -94,8 +94,7 @@ type Client struct {
 	// owning shard on the same consistent-hash ring the fleet's routers
 	// use and talks to it directly — no router hop — falling through
 	// ring order when a shard sheds or is unreachable.
-	ring      *cluster.Ring
-	shardBase map[string]string
+	shards *cluster.ShardMap
 
 	attempts  atomic.Int64
 	retries   atomic.Int64
@@ -135,19 +134,11 @@ func (c *Client) WithRetry(p RetryPolicy) *Client {
 // sharing the client across goroutines; returns the client for
 // chaining.
 func (c *Client) WithShards(shards []string, vnodes int) (*Client, error) {
-	ring := cluster.NewRing(vnodes)
-	bases := make(map[string]string, len(shards))
-	for _, s := range shards {
-		if err := ring.Add(s); err != nil {
-			return nil, fmt.Errorf("client: %w", err)
-		}
-		base := s
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		bases[s] = strings.TrimRight(base, "/")
+	m, err := cluster.NewShardMap(shards, vnodes)
+	if err != nil {
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	c.ring, c.shardBase = ring, bases
+	c.shards = m
 	return c, nil
 }
 
@@ -166,19 +157,17 @@ func (c *Client) RetryStats() RetryStats {
 // one (or when the platform does not decode — the server will say why)
 // just the configured base.
 func (c *Client) targets(req *service.Request) []string {
-	if c.ring == nil {
+	if c.shards == nil {
 		return []string{c.base}
 	}
-	dec, err := platform.Read(bytes.NewReader(req.Platform))
+	members, err := c.shards.Route(req.Platform)
 	if err != nil {
 		return []string{c.base}
 	}
-	members := c.ring.Owners(dec.Hash(), c.ring.Len())
-	out := make([]string, len(members))
 	for i, m := range members {
-		out[i] = c.shardBase[m]
+		members[i] = c.shards.Base(m)
 	}
-	return out
+	return members
 }
 
 // redirectable reports whether a failed attempt should move to the
@@ -437,7 +426,9 @@ func (c *Client) MaxTasksSpider(ctx context.Context, sp platform.Spider, n int, 
 	return c.Do(ctx, req)
 }
 
-// Stats fetches the service's aggregate counters.
+// Stats fetches the service's aggregate counters. It speaks to one
+// msserve shard: any other body — a router's per-shard /stats above
+// all — is an error, never a silent all-zero Stats.
 func (c *Client) Stats(ctx context.Context) (*service.Stats, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/stats", nil)
 	if err != nil {
@@ -452,7 +443,9 @@ func (c *Client) Stats(ctx context.Context) (*service.Stats, error) {
 		return nil, fmt.Errorf("client: stats answered %s", hresp.Status)
 	}
 	var st service.Stats
-	if err := json.NewDecoder(hresp.Body).Decode(&st); err != nil {
+	dec := json.NewDecoder(hresp.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&st); err != nil {
 		return nil, fmt.Errorf("client: decoding stats: %w", err)
 	}
 	return &st, nil

@@ -182,6 +182,26 @@ func TestNoShardMapKeepsSingleBase(t *testing.T) {
 	}
 }
 
+// TestStatsRejectsRouterBody: Stats speaks to one shard. Pointed at a
+// router, whose /stats body holds per-shard blocks and no Stats field,
+// it must fail instead of reading the fleet as all zeros.
+func TestStatsRejectsRouterBody(t *testing.T) {
+	shard := httptest.NewServer(service.New(service.Config{}).Handler())
+	defer shard.Close()
+	rt, err := cluster.NewRouter([]string{shard.URL}, testVnodes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(rt.Handler())
+	defer router.Close()
+	if st, err := New(router.URL, nil).Stats(context.Background()); err == nil {
+		t.Fatalf("Stats against a router returned %+v and no error", st)
+	}
+	if _, err := New(shard.URL, nil).Stats(context.Background()); err != nil {
+		t.Fatalf("Stats against a shard: %v", err)
+	}
+}
+
 // ringOf mirrors the ring the client builds internally, for steering
 // test traffic.
 func ringOf(t *testing.T, members ...string) *cluster.Ring {
